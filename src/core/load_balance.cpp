@@ -1,6 +1,8 @@
 #include "core/load_balance.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 namespace picpar::core {
 
@@ -32,45 +34,54 @@ BalanceReport order_maintaining_balance(sim::Comm& comm, ParticleArray& p) {
   };
 
   // Slice my contiguous run [my_start, my_start + n) across target owners.
-  std::vector<std::vector<ParticleRec>> send(
-      static_cast<std::size_t>(nranks));
+  // Targets are consecutive ranks starting at the last one whose target
+  // range begins at or before my_start, so the send table is a list of
+  // (dest, run) pairs in ascending destination order.
+  std::vector<std::pair<int, std::vector<ParticleRec>>> send;
   const std::uint64_t n = p.size();
   BalanceReport rep;
   if (n > 0) {
-    // First target rank owning my_start.
-    int dest = nranks - 1;
-    for (int r = 0; r < nranks; ++r) {
-      if (target_start(r) <= my_start &&
-          (r + 1 == nranks || my_start < target_start(r + 1))) {
-        dest = r;
-        break;
-      }
+    // target_start is non-decreasing and target_start(0) == 0 <= my_start:
+    // binary-search the first rank whose target range starts past my_start.
+    int lo = 1, hi = nranks;
+    while (lo < hi) {
+      const int mid = lo + (hi - lo) / 2;
+      if (target_start(mid) <= my_start)
+        lo = mid + 1;
+      else
+        hi = mid;
     }
+    int dest = lo - 1;
     std::uint64_t i = 0;
     while (i < n) {
       const std::uint64_t dest_end =
           (dest + 1 == nranks) ? total : target_start(dest + 1);
       const std::uint64_t run =
           std::min(n - i, dest_end - (my_start + i));
-      auto& buf = send[static_cast<std::size_t>(dest)];
-      buf.reserve(buf.size() + run);
-      for (std::uint64_t k = 0; k < run; ++k)
-        buf.push_back(p.rec(static_cast<std::size_t>(i + k)));
-      if (dest != rank) rep.sent += run;
+      if (run > 0) {
+        std::vector<ParticleRec> buf;
+        buf.reserve(static_cast<std::size_t>(run));
+        for (std::uint64_t k = 0; k < run; ++k)
+          buf.push_back(p.rec(static_cast<std::size_t>(i + k)));
+        send.emplace_back(dest, std::move(buf));
+        if (dest != rank) rep.sent += run;
+      }
       i += run;
       ++dest;
     }
   }
 
+  // Received runs arrive in ascending source order: their concatenation is
+  // the global order.
   auto recv = comm.all_to_many(std::move(send));
 
   p.clear();
   std::size_t incoming = 0;
-  for (const auto& buf : recv) incoming += buf.size();
+  for (const auto& [src, buf] : recv) incoming += buf.size();
   p.reserve(incoming);
-  for (int src = 0; src < nranks; ++src) {
-    for (const auto& r : recv[static_cast<std::size_t>(src)]) p.push_back(r);
-    if (src != rank) rep.received += recv[static_cast<std::size_t>(src)].size();
+  for (const auto& [src, buf] : recv) {
+    for (const auto& r : buf) p.push_back(r);
+    if (src != rank) rep.received += buf.size();
   }
   return rep;
 }

@@ -17,21 +17,32 @@ namespace {
 constexpr std::uint64_t kMaxKey = std::numeric_limits<std::uint64_t>::max();
 }
 
-ParticlePartitioner::ParticlePartitioner(const sfc::Curve& curve,
-                                         const mesh::GridDesc& grid,
-                                         PartitionerConfig cfg)
+ParticlePartitioner::ParticlePartitioner(
+    const sfc::Curve& curve, const mesh::GridDesc& grid,
+    std::shared_ptr<const sfc::IndexCache> keys, PartitionerConfig cfg)
     : curve_(&curve),
       grid_(grid),
       cfg_(cfg),
       balancer_(make_balancer(cfg.balancer)),
-      key_cache_(curve, grid.nx, grid.ny) {
+      key_cache_(std::move(keys)) {
   if (cfg.buckets_per_rank < 1 || cfg.samples_per_rank < 1)
     throw std::invalid_argument("PartitionerConfig: counts must be >= 1");
+  if (!key_cache_ || key_cache_->size() != grid.nodes())
+    throw std::invalid_argument(
+        "ParticlePartitioner: key table does not cover the grid");
 }
+
+ParticlePartitioner::ParticlePartitioner(const sfc::Curve& curve,
+                                         const mesh::GridDesc& grid,
+                                         PartitionerConfig cfg)
+    : ParticlePartitioner(
+          curve, grid,
+          std::make_shared<const sfc::IndexCache>(curve, grid.nx, grid.ny),
+          std::move(cfg)) {}
 
 void ParticlePartitioner::assign_keys(sim::Comm& comm,
                                       ParticleArray& p) const {
-  core::assign_keys(key_cache_, grid_, p);
+  core::assign_keys(*key_cache_, grid_, p);
   comm.charge_ops(p.size() * 4);  // cell lookup + curve evaluation
 }
 
@@ -114,7 +125,7 @@ RedistReport ParticlePartitioner::distribute(sim::Comm& comm,
   // bounds are kept (refresh_state would overwrite them with data-derived
   // ones); only the local bucket table is refreshed.
   if (!balancer_->lagrangian()) {
-    global_bounds_ = balancer_->compute_bounds(comm, p, key_cache_, rep.work);
+    global_bounds_ = balancer_->compute_bounds(comm, p, *key_cache_, rep.work);
     // The local array is key-sorted and the bounds are non-decreasing, so
     // destinations appear in ascending order: the send table is a list of
     // (dest, run) pairs — O(touched destinations), not O(p).
@@ -137,43 +148,42 @@ RedistReport ParticlePartitioner::distribute(sim::Comm& comm,
     return rep;
   }
 
-  // 2. Regular sampling of local keys.
-  const int s = cfg_.samples_per_rank;
-  std::vector<std::uint64_t> samples;
-  samples.reserve(static_cast<std::size_t>(s));
-  if (!p.empty()) {
-    for (int i = 1; i <= s; ++i) {
-      const auto pos = static_cast<std::size_t>(
-          static_cast<std::uint64_t>(i) * p.size() /
-          static_cast<std::uint64_t>(s + 1));
-      samples.push_back(p.key[std::min(pos, p.size() - 1)]);
-    }
-  }
-
-  // 3. Gather all samples, derive p-1 splitters at regular positions.
-  auto all_samples = comm.allgatherv(samples);
-  SortWork sample_sort_work;
+  // 2-3. Regular sampling of local keys; gather all samples and derive
+  // p-1 splitters at regular positions. The p*s gathered samples are freed
+  // before routing: a rank's fiber can wait in the exchange below while
+  // every other rank runs this step.
   {
-    std::uint64_t before = all_samples.size();
-    std::sort(all_samples.begin(), all_samples.end());
-    sample_sort_work.comparisons +=
-        before > 1 ? before * 10 : 0;  // ~n log n for the tiny sample set
-  }
-  rep.work += sample_sort_work;
+    const int s = cfg_.samples_per_rank;
+    std::vector<std::uint64_t> samples;
+    samples.reserve(static_cast<std::size_t>(s));
+    if (!p.empty()) {
+      for (int i = 1; i <= s; ++i) {
+        const auto pos = static_cast<std::size_t>(
+            static_cast<std::uint64_t>(i) * p.size() /
+            static_cast<std::uint64_t>(s + 1));
+        samples.push_back(p.key[std::min(pos, p.size() - 1)]);
+      }
+    }
+    auto all_samples = comm.allgatherv(samples);
+    // The model charges a comparison sort (~n log n for the tiny sample
+    // set); the host sorts the same multiset by radix (DESIGN.md §17).
+    const std::uint64_t before = all_samples.size();
+    rep.work.comparisons += before > 1 ? before * 10 : 0;
+    radix_sort_keys(all_samples);
 
-  // Splitters become inclusive upper bounds: rank r takes keys in
-  // (split[r-1], split[r]], last rank unbounded.
-  global_bounds_.assign(static_cast<std::size_t>(nranks), kMaxKey);
-  if (!all_samples.empty()) {
-    for (int r = 0; r + 1 < nranks; ++r) {
-      const auto pos = static_cast<std::size_t>(
-          static_cast<std::uint64_t>(r + 1) * all_samples.size() /
-          static_cast<std::uint64_t>(nranks));
-      global_bounds_[static_cast<std::size_t>(r)] =
-          all_samples[std::min(pos, all_samples.size() - 1)];
+    // Splitters become inclusive upper bounds: rank r takes keys in
+    // (split[r-1], split[r]], last rank unbounded.
+    global_bounds_.assign(static_cast<std::size_t>(nranks), kMaxKey);
+    if (!all_samples.empty()) {
+      for (int r = 0; r + 1 < nranks; ++r) {
+        const auto pos = static_cast<std::size_t>(
+            static_cast<std::uint64_t>(r + 1) * all_samples.size() /
+            static_cast<std::uint64_t>(nranks));
+        global_bounds_[static_cast<std::size_t>(r)] =
+            all_samples[std::min(pos, all_samples.size() - 1)];
+      }
     }
   }
-  global_bounds_[static_cast<std::size_t>(nranks - 1)] = kMaxKey;
 
   // 4. Route particles; the local array is sorted, so each destination
   // receives a contiguous sorted run and destinations appear in ascending
@@ -222,7 +232,7 @@ RedistReport ParticlePartitioner::redistribute(sim::Comm& comm,
     // Weighted policies recompute the cell-aligned bounds from the current
     // particle profile before classifying: the profile drifted since the
     // last redistribution, and the bounds are a pure function of it.
-    global_bounds_ = balancer_->compute_bounds(comm, p, key_cache_, rep.work);
+    global_bounds_ = balancer_->compute_bounds(comm, p, *key_cache_, rep.work);
   } else {
     // Fig 12 line 1: refresh the global processor bounds from the previous
     // sorted state (they are already cached; the allgather keeps the

@@ -19,9 +19,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
 #include <memory>
+#include <vector>
 
 #include "core/balancer.hpp"
 #include "core/sort_util.hpp"
@@ -57,6 +56,12 @@ struct RedistReport {
 
 class ParticlePartitioner {
 public:
+  /// `keys` is the cell -> curve-index table of `curve` on `grid`; it is
+  /// read-only, so every rank of a run can share one (DESIGN.md §17).
+  ParticlePartitioner(const sfc::Curve& curve, const mesh::GridDesc& grid,
+                      std::shared_ptr<const sfc::IndexCache> keys,
+                      PartitionerConfig cfg = {});
+  /// Builds a table of its own.
   ParticlePartitioner(const sfc::Curve& curve, const mesh::GridDesc& grid,
                       PartitionerConfig cfg = {});
 
@@ -112,7 +117,7 @@ private:
   /// Bounds policy (shared so the partitioner stays copyable).
   std::shared_ptr<const BalancerPolicy> balancer_;
   /// Memoized cell -> curve-index table backing assign_keys (DESIGN.md §10).
-  sfc::IndexCache key_cache_;
+  std::shared_ptr<const sfc::IndexCache> key_cache_;
 
   // Scratch reused across redistributions so steady-state iterations do not
   // reallocate (capacity persists; contents are per-call).

@@ -1,6 +1,7 @@
 #include "core/sort_util.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <queue>
 
@@ -8,6 +9,19 @@ namespace picpar::core {
 
 using particles::ParticleArray;
 using particles::ParticleRec;
+
+void radix_sort_keys(std::vector<std::uint64_t>& keys) {
+  std::uint64_t widest = 0;
+  for (const std::uint64_t k : keys) widest |= k;
+  std::vector<std::uint64_t> scratch(keys.size());
+  for (int shift = 0; shift < 64 && (widest >> shift) != 0; shift += 8) {
+    std::array<std::size_t, 257> start{};
+    for (const std::uint64_t k : keys) ++start[((k >> shift) & 0xff) + 1];
+    for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
+    for (const std::uint64_t k : keys) scratch[start[(k >> shift) & 0xff]++] = k;
+    keys.swap(scratch);
+  }
+}
 
 SortWork sort_by_key(ParticleArray& p) {
   SortWork w;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "particles/particle_array.hpp"
 
@@ -20,6 +21,13 @@ struct SortWork {
   }
   std::uint64_t total_ops() const { return comparisons + moves; }
 };
+
+/// Sort plain keys ascending with an LSD radix sort: one counting pass per
+/// byte, over only the low bytes the widest key uses (two passes for the
+/// curve indices of a 128x64 mesh, all eight once bit 63 is set).
+/// Returns the same multiset order std::sort does. Counts no work: callers
+/// charge the comparison sort the model assumes.
+void radix_sort_keys(std::vector<std::uint64_t>& keys);
 
 /// Sort the whole array by key (stable). Counts comparisons and the
 /// permutation moves.

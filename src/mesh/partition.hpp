@@ -7,7 +7,8 @@
 //     equal runs (Fig 10) — sub-blocks follow the curve through the mesh.
 //
 // The partition is global, read-only and identical on every rank, so a
-// single instance is shared by all simulated ranks.
+// single instance serves all simulated ranks: run_pic builds one per group
+// size and every rank's LocalGrid points at it (DESIGN.md §17).
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -144,12 +145,39 @@ struct RankOutput {
   std::size_t transport_peers = 0;     ///< distinct peers with transport state
 };
 
+/// Grid partitions shared by every rank of a run, one per group size. A
+/// partition is a pure function of (grid, decomposition, curve, p), so the
+/// first rank that needs a size builds it and every other rank reuses it;
+/// crash recovery asks for the survivors' smaller size. Entries are never
+/// erased, so the references handed out stay valid for the whole run.
+/// Mutex-guarded because the parallel engine's rank threads race to first
+/// use; nothing under the lock calls Comm, so a fiber never yields (and no
+/// rank thread parks) while holding it.
+struct PartitionTable {
+  std::mutex mu;
+  std::map<int, GridPartition> by_size;
+
+  const GridPartition& get(const PicParams& params, const sfc::Curve& curve,
+                           int p) {
+    std::lock_guard<std::mutex> lk(mu);
+    auto it = by_size.find(p);
+    if (it == by_size.end())
+      it = by_size
+               .emplace(p, params.grid_decomp == GridDecomp::kBlock
+                               ? GridPartition::block_auto(params.grid, p)
+                               : GridPartition::curve(params.grid, p, curve))
+               .first;
+    return it->second;
+  }
+};
+
 /// Everything a rank's subdomain view depends on the group size: grid
-/// partition, local grid, fields, solvers, partitioner, ghost tables.
-/// Rebuilt in place (std::optional::emplace) whenever membership changes —
-/// the members reference their siblings, so the object is never moved.
+/// partition (shared, see PartitionTable), local grid, fields, solvers,
+/// partitioner, ghost tables. Rebuilt in place (std::optional::emplace)
+/// whenever membership changes — the members reference their siblings, so
+/// the object is never moved.
 struct Domain {
-  GridPartition part;
+  const GridPartition& part;
   LocalGrid lg;
   FieldState f;
   mesh::MaxwellSolver maxwell;
@@ -158,17 +186,16 @@ struct Domain {
   ParticlePartitioner partitioner;
   GhostExchange ghosts;
 
-  Domain(const PicParams& params, const mesh::GridDesc& grid,
-         const sfc::Curve& curve, double dt, int p, int grank)
-      : part(params.grid_decomp == GridDecomp::kBlock
-                 ? GridPartition::block_auto(grid, p)
-                 : GridPartition::curve(grid, p, curve)),
+  Domain(const PicParams& params, const GridPartition& partition,
+         const sfc::Curve& curve,
+         std::shared_ptr<const sfc::IndexCache> keys, double dt, int grank)
+      : part(partition),
         lg(part, grank),
         f(lg),
         maxwell(lg, dt),
         poisson(lg),
         phi(lg.make_field()),
-        partitioner(curve, grid, params.partitioner),
+        partitioner(curve, params.grid, std::move(keys), params.partitioner),
         ghosts(lg, params.dedup) {}
 };
 
@@ -262,9 +289,11 @@ PicResult run_pic(const PicParams& params) {
   const mesh::GridDesc grid = params.grid;
   const auto curve = sfc::make_curve(params.curve, grid.nx, grid.ny);
   // Cell -> curve-index table, evaluated once and shared read-only by all
-  // ranks; replaces per-particle curve evaluations on the push and
-  // scrub paths (DESIGN.md §10).
-  const sfc::IndexCache key_cache(*curve, grid.nx, grid.ny);
+  // ranks and their partitioners; replaces per-particle curve evaluations
+  // on the key, push and scrub paths (DESIGN.md §10, §17).
+  const auto key_table =
+      std::make_shared<const sfc::IndexCache>(*curve, grid.nx, grid.ny);
+  const sfc::IndexCache& key_cache = *key_table;
 
   // Scenario resolution: empty name keeps the legacy path (dist-selected
   // loadout, every hook disabled — byte-identical to builds without the
@@ -305,6 +334,7 @@ PicResult run_pic(const PicParams& params) {
 
   std::vector<RankOutput> outputs(static_cast<std::size_t>(params.nranks));
   CheckpointStore store;
+  PartitionTable partitions;
 
   auto program = [&](Comm& comm) {
     // The world rank is this thread's permanent identity: it indexes host
@@ -394,7 +424,8 @@ PicResult run_pic(const PicParams& params) {
     const auto do_init = [&](Comm& c) {
       const int rank = c.rank();
       const int p = c.size();
-      dom.emplace(params, grid, *curve, dt, p, rank);
+      dom.emplace(params, partitions.get(params, *curve, p), *curve,
+                  key_table, dt, rank);
       if (seed_on) scenario::apply_field_seed(sc->field_seed, grid, dom->lg, dom->f);
       policy = core::make_policy(params.policy);
       out.iters.clear();
@@ -456,7 +487,8 @@ PicResult run_pic(const PicParams& params) {
       rit = c.allreduce_min(rit);
       ckpt_seq = rseq;
 
-      dom.emplace(params, grid, *curve, dt, p, rank);
+      dom.emplace(params, partitions.get(params, *curve, p), *curve,
+                  key_table, dt, rank);
       if (seed_on) scenario::apply_field_seed(sc->field_seed, grid, dom->lg, dom->f);
       policy = core::make_policy(params.policy);
       ckpt_valid = false;

@@ -3,11 +3,13 @@
 // Particle indexing (Section 5.1) evaluates the space-filling curve once per
 // particle per iteration in the push phase, and once per particle in every
 // assign_keys pass. The curve value depends only on the (static) grid cell,
-// so a flat table of nx*ny entries — one evaluation per cell, built once —
-// replaces the per-particle O(order) Hilbert walk with a single load. The
-// grid and curve never change during a run, so the table never invalidates;
-// were the mesh ever refined, the cache would be rebuilt at that
-// redistribution epoch.
+// so a flat table of nx*ny entries — one evaluation per cell — replaces the
+// per-particle O(order) Hilbert walk with a single load. The table is
+// read-only and the same on every rank: run_pic builds one per run and
+// shares it with every rank's partitioner (DESIGN.md §17). The grid and
+// curve never change during a run, so the table never invalidates; were the
+// mesh ever refined, the cache would be rebuilt at that redistribution
+// epoch.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +21,8 @@ namespace picpar::sfc {
 
 class IndexCache {
 public:
-  /// Evaluate `curve` at every cell of an nx-by-ny grid. O(nx*ny) curve
-  /// evaluations, done exactly once.
+  /// Evaluate `curve` at every cell of an nx-by-ny grid: O(nx*ny) curve
+  /// evaluations.
   IndexCache(const Curve& curve, std::uint32_t nx, std::uint32_t ny);
 
   /// Curve index of cell id (node id convention: id = y * nx + x).

@@ -1,6 +1,7 @@
 #include "sim/comm.hpp"
 
 #include <cstring>
+#include <stdexcept>
 
 namespace picpar::sim {
 
@@ -19,18 +20,18 @@ void append_record(std::vector<std::byte>& buf, std::uint64_t origin,
 
 }  // namespace
 
-std::vector<std::vector<std::byte>> Comm::allgatherv_bytes(
-    std::vector<std::byte> mine) {
+std::vector<std::byte> Comm::allgatherv_bytes(
+    std::vector<std::byte> mine, std::vector<std::size_t>& offsets) {
   const int p = size();
-  std::vector<std::vector<std::byte>> blocks(static_cast<std::size_t>(p));
-  if (p == 1) {
-    blocks[0] = std::move(mine);
-    return blocks;
-  }
+  offsets.assign(static_cast<std::size_t>(p), 0);
+  if (p == 1) return mine;
   CollectiveScope scope(*this);
 
   // Binomial-tree gather of records to group rank 0 (all ranks below are
-  // group indices; send/recv translate to physical ranks).
+  // group indices; send/recv translate to physical ranks). Rank r collects
+  // the subtrees of r|1, r|2, r|4, ... in that order, and the subtree of
+  // r|m is the contiguous rank range [r|m, r|m + m), so every accumulated
+  // stream — rank 0's included — is already in ascending rank order.
   const int gr = rank();
   std::vector<std::byte> acc;
   append_record(acc, static_cast<std::uint64_t>(gr), mine.data(),
@@ -49,29 +50,7 @@ std::vector<std::vector<std::byte>> Comm::allgatherv_bytes(
     }
   }
 
-  // Rank 0 parses and reorders records, then broadcasts the flat stream.
-  if (gr == 0) {
-    std::size_t pos = 0;
-    std::vector<std::byte> ordered;
-    std::vector<std::vector<std::byte>> parsed(static_cast<std::size_t>(p));
-    while (pos < acc.size()) {
-      std::uint64_t origin = 0, len = 0;
-      std::memcpy(&origin, acc.data() + pos, 8);
-      std::memcpy(&len, acc.data() + pos + 8, 8);
-      pos += 16;
-      auto& b = parsed[static_cast<std::size_t>(origin)];
-      b.assign(acc.begin() + static_cast<long>(pos),
-               acc.begin() + static_cast<long>(pos + len));
-      pos += len;
-    }
-    acc.clear();
-    for (int r = 0; r < p; ++r) {
-      const auto& b = parsed[static_cast<std::size_t>(r)];
-      append_record(acc, static_cast<std::uint64_t>(r), b.data(), b.size());
-    }
-  }
-
-  // Binomial broadcast of the ordered stream from rank 0, then parse.
+  // Binomial broadcast of the rank-ordered stream from rank 0.
   {
     constexpr int kTagCat = -460;
     int mask = 1;
@@ -93,18 +72,25 @@ std::vector<std::vector<std::byte>> Comm::allgatherv_bytes(
     }
   }
 
-  std::size_t pos = 0;
-  while (pos < acc.size()) {
+  // Strip the record headers in place: each payload moves down to the
+  // write cursor, which never passes the read cursor.
+  std::size_t rd = 0, wr = 0;
+  for (int r = 0; r < p; ++r) {
     std::uint64_t origin = 0, len = 0;
-    std::memcpy(&origin, acc.data() + pos, 8);
-    std::memcpy(&len, acc.data() + pos + 8, 8);
-    pos += 16;
-    blocks[static_cast<std::size_t>(origin)].assign(
-        acc.begin() + static_cast<long>(pos),
-        acc.begin() + static_cast<long>(pos + len));
-    pos += len;
+    if (acc.size() - rd < 16)
+      throw std::runtime_error("allgatherv: truncated record stream");
+    std::memcpy(&origin, acc.data() + rd, 8);
+    std::memcpy(&len, acc.data() + rd + 8, 8);
+    rd += 16;
+    if (origin != static_cast<std::uint64_t>(r) || acc.size() - rd < len)
+      throw std::runtime_error("allgatherv: record stream out of rank order");
+    offsets[static_cast<std::size_t>(r)] = wr;
+    if (len) std::memmove(acc.data() + wr, acc.data() + rd, len);
+    wr += len;
+    rd += len;
   }
-  return blocks;
+  acc.resize(wr);
+  return acc;
 }
 
 void Comm::barrier() {

@@ -245,9 +245,11 @@ public:
                             std::vector<std::size_t>* offsets = nullptr);
 
 private:
-  /// allgatherv workhorse on raw bytes. Returns the per-rank blocks.
-  std::vector<std::vector<std::byte>> allgatherv_bytes(
-      std::vector<std::byte> mine);
+  /// allgatherv workhorse on raw bytes. Returns the rank-ordered
+  /// concatenation as one flat buffer; offsets[r] is the byte offset of
+  /// rank r's block (p entries).
+  std::vector<std::byte> allgatherv_bytes(std::vector<std::byte> mine,
+                                          std::vector<std::size_t>& offsets);
 
 public:
 
@@ -415,24 +417,16 @@ std::vector<T> Comm::allgatherv(const std::vector<T>& mine,
   static_assert(std::is_trivially_copyable_v<T>);
   std::vector<std::byte> raw(mine.size() * sizeof(T));
   if (!mine.empty()) std::memcpy(raw.data(), mine.data(), raw.size());
-  auto blocks = allgatherv_bytes(std::move(raw));
-
-  const int p = size();
-  std::vector<T> out;
-  if (offsets) offsets->assign(static_cast<std::size_t>(p), 0);
-  std::size_t total_bytes = 0;
-  for (const auto& b : blocks) total_bytes += b.size();
-  if (total_bytes % sizeof(T) != 0)
+  std::vector<std::size_t> byte_offsets;
+  const auto flat = allgatherv_bytes(std::move(raw), byte_offsets);
+  if (flat.size() % sizeof(T) != 0)
     throw std::runtime_error("allgatherv: byte count not multiple of sizeof(T)");
-  out.resize(total_bytes / sizeof(T));
-  std::size_t pos = 0;
-  for (int r = 0; r < p; ++r) {
-    const auto& b = blocks[static_cast<std::size_t>(r)];
-    if (offsets) (*offsets)[static_cast<std::size_t>(r)] = pos / sizeof(T);
-    if (!b.empty())
-      std::memcpy(reinterpret_cast<std::byte*>(out.data()) + pos, b.data(),
-                  b.size());
-    pos += b.size();
+  std::vector<T> out(flat.size() / sizeof(T));
+  if (!flat.empty()) std::memcpy(out.data(), flat.data(), flat.size());
+  if (offsets) {
+    offsets->resize(byte_offsets.size());
+    for (std::size_t r = 0; r < byte_offsets.size(); ++r)
+      (*offsets)[r] = byte_offsets[r] / sizeof(T);
   }
   return out;
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/indexing.hpp"
 #include "core/load_balance.hpp"
 #include "sfc/hilbert.hpp"
@@ -261,6 +265,90 @@ TEST(Partitioner, RankUpperBoundsAreNonDecreasing) {
     for (std::size_t i = 1; i < bounds.size(); ++i)
       EXPECT_LE(bounds[i - 1], bounds[i]);
   });
+}
+
+// distribute() picks its splitters by sorting the gathered samples. Its
+// rank_upper_bounds() afterwards are the post-balance bounds, so the test
+// checks the splitters through what they decide: each rank's sent count
+// (routing by splitter, then the order-maintaining balance), computed here
+// from the splitters std::sort gives on the same gathered samples. Keys
+// carry heavy duplicates and bit 63; every third rank starts empty.
+TEST(Partitioner, DistributeRoutesByStdSortSplitters) {
+  constexpr std::uint64_t kMax = ~0ull;
+  for (const int p : {1, 3, 64}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const auto np = static_cast<std::size_t>(p);
+    picpar::Rng rng(static_cast<std::uint64_t>(p));
+    std::vector<std::vector<std::uint64_t>> keys(np);
+    for (int r = 0; r < p; ++r) {
+      if (r % 3 == 1) continue;
+      const int n = 5 + (r % 7) * 9;
+      for (int i = 0; i < n; ++i)
+        keys[static_cast<std::size_t>(r)].push_back((rng.below(8) << 61) |
+                                                    rng.below(5));
+    }
+
+    // Reference: the regular samples distribute() draws from each sorted
+    // local array, gathered in rank order and sorted with std::sort.
+    const int s = PartitionerConfig{}.samples_per_rank;
+    std::vector<std::uint64_t> samples, all_keys;
+    for (auto local : keys) {
+      std::sort(local.begin(), local.end());
+      all_keys.insert(all_keys.end(), local.begin(), local.end());
+      for (int i = 1; !local.empty() && i <= s; ++i) {
+        const std::size_t pos = static_cast<std::size_t>(i) * local.size() /
+                                static_cast<std::size_t>(s + 1);
+        samples.push_back(local[std::min(pos, local.size() - 1)]);
+      }
+    }
+    std::sort(samples.begin(), samples.end());
+    std::sort(all_keys.begin(), all_keys.end());
+    std::vector<std::uint64_t> split(np, kMax);
+    for (std::size_t r = 0; r + 1 < np; ++r)
+      split[r] = samples[std::min((r + 1) * samples.size() / np,
+                                  samples.size() - 1)];
+    const auto dest_of = [&](std::uint64_t k) {
+      return static_cast<std::size_t>(
+          std::lower_bound(split.begin(), split.end(), k) - split.begin());
+    };
+    std::vector<std::uint64_t> expect_sent(np, 0), routed(np, 0);
+    for (std::size_t r = 0; r < np; ++r)
+      for (const auto k : keys[r]) {
+        ++routed[dest_of(k)];
+        if (dest_of(k) != r) ++expect_sent[r];
+      }
+    const std::uint64_t total = all_keys.size();
+    std::vector<std::uint64_t> expect_bounds(np, 0);
+    std::uint64_t held_from = 0, prev = 0;
+    for (std::size_t r = 0; r < np; ++r) {
+      const std::uint64_t lo = r * total / np, hi = (r + 1) * total / np;
+      const std::uint64_t a = std::max(held_from, lo);
+      const std::uint64_t b = std::min(held_from + routed[r], hi);
+      expect_sent[r] += routed[r] - (a < b ? b - a : 0);
+      held_from += routed[r];
+      expect_bounds[r] = hi > lo ? all_keys[hi - 1] : prev;
+      prev = expect_bounds[r];
+    }
+
+    sfc::HilbertCurve curve(32, 32);
+    sim::Machine m(p, sim::CostModel::zero());
+    m.run([&](sim::Comm& c) {
+      const auto r = static_cast<std::size_t>(c.rank());
+      ParticleArray mine(-1.0, 1.0);
+      for (const auto k : keys[r]) {
+        ParticleRec rec;
+        rec.x = 0.5;
+        rec.y = 0.5;
+        rec.key = k;
+        mine.push_back(rec);
+      }
+      ParticlePartitioner part(curve, grid());
+      const auto rep = part.distribute(c, mine);
+      EXPECT_EQ(rep.sent_particles, expect_sent[r]) << "rank " << r;
+      EXPECT_EQ(part.rank_upper_bounds(), expect_bounds) << "rank " << r;
+      EXPECT_EQ(mine.size(), balanced_count(total, p, c.rank()));
+    });
+  }
 }
 
 TEST(Partitioner, ConfigValidation) {

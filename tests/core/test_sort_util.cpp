@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -217,6 +219,61 @@ TEST(MergeBucketRuns, EmptySidesAndReplacement) {
 
   merge_bucket_runs({}, {}, p);
   EXPECT_EQ(p.size(), 0u);
+}
+
+void expect_radix_matches_std_sort(std::vector<std::uint64_t> keys) {
+  auto expect = keys;
+  std::sort(expect.begin(), expect.end());
+  radix_sort_keys(keys);
+  EXPECT_EQ(keys, expect);
+}
+
+TEST(RadixSortKeys, EmptyAndOneKey) {
+  expect_radix_matches_std_sort({});
+  expect_radix_matches_std_sort({42});
+  expect_radix_matches_std_sort({0});
+}
+
+TEST(RadixSortKeys, AllKeysEqual) {
+  expect_radix_matches_std_sort(std::vector<std::uint64_t>(300, 0x1234));
+  expect_radix_matches_std_sort(std::vector<std::uint64_t>(300, 0));
+}
+
+TEST(RadixSortKeys, HeavyDuplicatesAndKeyZero) {
+  picpar::Rng rng(7);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 2000; ++i) keys.push_back(rng.below(5) * 0x10001);
+  keys.push_back(0);
+  expect_radix_matches_std_sort(keys);
+}
+
+TEST(RadixSortKeys, Bit63RunsEveryBytePass) {
+  // Random bytes in every position plus keys with the top bit set: all
+  // eight passes run and every byte decides some comparisons.
+  picpar::Rng rng(11);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t hi = rng.below(1ull << 32);
+    const std::uint64_t lo = rng.below(1ull << 32);
+    keys.push_back((hi << 32) | lo);
+  }
+  keys.push_back(~0ull);
+  keys.push_back(1ull << 63);
+  keys.push_back((1ull << 63) | 1);
+  keys.push_back(0);
+  keys.push_back(1ull << 63);
+  expect_radix_matches_std_sort(keys);
+}
+
+TEST(RadixSortKeys, NarrowKeysAcrossByteBoundaries) {
+  // Keys under 2^16 (two passes) and under 2^24 (three, an odd count, so
+  // the result ends up in the scratch buffer's storage).
+  for (const std::uint64_t bound : {1ull << 8, 1ull << 16, 1ull << 24}) {
+    picpar::Rng rng(bound);
+    std::vector<std::uint64_t> keys;
+    for (int i = 0; i < 777; ++i) keys.push_back(rng.below(bound));
+    expect_radix_matches_std_sort(keys);
+  }
 }
 
 TEST(SortWork, AccumulatesWithPlusEquals) {

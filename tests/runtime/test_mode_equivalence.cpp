@@ -112,6 +112,36 @@ TEST(ModeEquivalence, PicPipelineWithValidationAndMemoryFaults) {
   expect_pic_identical(run_mode(p, false), run_mode(p, true));
 }
 
+TEST(ModeEquivalence, PicPipelineThroughCrashRecovery) {
+  // One scheduled crash shrinks the group from 8 ranks to 7, so the domains
+  // are built from the run's shared grid-partition table at two group
+  // sizes. Under the parallel engine the rank threads race to first use of
+  // both entries; this is the test that puts that race in front of TSan.
+  for (const auto decomp :
+       {pic::GridDecomp::kCurve, pic::GridDecomp::kBlock}) {
+    SCOPED_TRACE(decomp == pic::GridDecomp::kCurve ? "curve" : "block");
+    pic::PicParams p = small_pic();
+    p.grid_decomp = decomp;
+    p.iterations = 12;
+    p.policy = "periodic:4";
+    p.validate.checkpoint_every = 4;
+    const double clean_makespan = run_mode(p, false).total_seconds;
+    p.faults.crash_schedule = {{2, 0.5 * clean_makespan}};
+    const auto seq = run_mode(p, false);
+    const auto par = run_mode(p, true);
+    EXPECT_GE(seq.crash_count, 1);
+    EXPECT_LT(seq.final_ranks, p.nranks);
+    EXPECT_EQ(seq.final_particles, seq.initial_particles);
+    expect_pic_identical(seq, par);
+    EXPECT_EQ(seq.crash_count, par.crash_count);
+    EXPECT_EQ(seq.crash_recoveries, par.crash_recoveries);
+    EXPECT_EQ(seq.final_ranks, par.final_ranks);
+    EXPECT_EQ(seq.mttr_seconds_total, par.mttr_seconds_total);
+    EXPECT_EQ(seq.crash_lost_particles, par.crash_lost_particles);
+    EXPECT_EQ(seq.crash_restored_particles, par.crash_restored_particles);
+  }
+}
+
 TEST(ModeEquivalence, PicPipelineWithAnalyzerAttached) {
   pic::PicParams p = small_pic();
   p.analyze.enabled = true;

@@ -105,14 +105,25 @@ TEST_P(Collectives, AllgathervVariableBlocks) {
 TEST_P(Collectives, AllgathervWithEmptyBlocks) {
   auto m = machine();
   m.run([](Comm& c) {
-    std::vector<double> mine;
-    if (c.rank() % 2 == 0) mine = {static_cast<double>(c.rank())};
+    // Even rank r contributes r+1 values, odd ranks nothing: an empty
+    // block's offset is where the next block starts.
+    const auto block = [](int r) {
+      std::vector<double> b;
+      if (r % 2 == 0)
+        for (int i = 0; i <= r; ++i) b.push_back(r * 10.0 + i);
+      return b;
+    };
     std::vector<std::size_t> offsets;
-    const auto cat = c.allgatherv(mine, &offsets);
-    std::size_t expect = 0;
-    for (int r = 0; r < c.size(); ++r)
-      if (r % 2 == 0) ++expect;
-    EXPECT_EQ(cat.size(), expect);
+    const auto cat = c.allgatherv(block(c.rank()), &offsets);
+    std::vector<double> expect;
+    std::vector<std::size_t> expect_offsets;
+    for (int r = 0; r < c.size(); ++r) {
+      expect_offsets.push_back(expect.size());
+      const auto b = block(r);
+      expect.insert(expect.end(), b.begin(), b.end());
+    }
+    EXPECT_EQ(offsets, expect_offsets);
+    EXPECT_EQ(cat, expect);
   });
 }
 
