@@ -15,19 +15,22 @@ struct CicStencil {
   double weight[4];
 };
 
-/// Compute the CIC stencil for wrapped position (x, y). Weight order:
-/// (x0,y0), (x1,y0), (x0,y1), (x1,y1).
-inline CicStencil cic_stencil(const mesh::GridDesc& g, double x, double y) {
-  const double gx = x / g.dx();
-  const double gy = y / g.dy();
+/// Compute the CIC stencil for wrapped position (x, y), given the cell
+/// size (dx, dy) == (g.dx(), g.dy()). Weight order: (x0,y0), (x1,y0),
+/// (x0,y1), (x1,y1).
+inline CicStencil cic_stencil(const mesh::GridDesc& g, double x, double y,
+                              double dx, double dy) {
+  const double gx = x / dx;
+  const double gy = y / dy;
   auto cx = static_cast<std::uint32_t>(gx);
   auto cy = static_cast<std::uint32_t>(gy);
   if (cx >= g.nx) cx = g.nx - 1;
   if (cy >= g.ny) cy = g.ny - 1;
   const double fx = gx - static_cast<double>(cx);
   const double fy = gy - static_cast<double>(cy);
-  const std::uint32_t cx1 = (cx + 1) % g.nx;
-  const std::uint32_t cy1 = (cy + 1) % g.ny;
+  // Periodic neighbour; c < n after the clamp, so this is (c + 1) % n.
+  const std::uint32_t cx1 = cx + 1 == g.nx ? 0 : cx + 1;
+  const std::uint32_t cy1 = cy + 1 == g.ny ? 0 : cy + 1;
 
   CicStencil s;
   s.node[0] = g.node_id(cx, cy);
@@ -39,6 +42,11 @@ inline CicStencil cic_stencil(const mesh::GridDesc& g, double x, double y) {
   s.weight[2] = (1.0 - fx) * fy;
   s.weight[3] = fx * fy;
   return s;
+}
+
+/// Same, computing the cell size from the grid.
+inline CicStencil cic_stencil(const mesh::GridDesc& g, double x, double y) {
+  return cic_stencil(g, x, y, g.dx(), g.dy());
 }
 
 }  // namespace picpar::particles

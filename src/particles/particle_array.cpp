@@ -1,7 +1,5 @@
 #include "particles/particle_array.hpp"
 
-#include <cmath>
-
 namespace picpar::particles {
 
 void ParticleArray::apply_permutation(const std::vector<std::uint32_t>& perm) {
@@ -17,10 +15,6 @@ void ParticleArray::apply_permutation(const std::vector<std::uint32_t>& perm) {
   permute(uy);
   permute(uz);
   permute(key);
-}
-
-double ParticleArray::gamma(std::size_t i) const {
-  return std::sqrt(1.0 + ux[i] * ux[i] + uy[i] * uy[i] + uz[i] * uz[i]);
 }
 
 double ParticleArray::kinetic_energy() const {

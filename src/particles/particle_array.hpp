@@ -15,11 +15,19 @@
 // because the key carries it.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 namespace picpar::particles {
+
+/// Relativistic gamma of momentum u (c = 1): sqrt(1 + |u|^2), summed in
+/// x, y, z order. The one formula behind ParticleArray::gamma, the Boris
+/// kick's mid-step gamma and the block passes of pic/kernels.
+inline double lorentz_gamma(double ux, double uy, double uz) {
+  return std::sqrt(1.0 + ux * ux + uy * uy + uz * uz);
+}
 
 struct ParticleRec {
   double x = 0.0, y = 0.0;
@@ -148,7 +156,9 @@ public:
   void apply_permutation(const std::vector<std::uint32_t>& perm);
 
   /// Relativistic gamma of particle i.
-  double gamma(std::size_t i) const;
+  double gamma(std::size_t i) const {
+    return lorentz_gamma(ux[i], uy[i], uz[i]);
+  }
 
   /// Total kinetic energy: sum m (gamma - 1), per-particle species mass.
   double kinetic_energy() const;

@@ -19,8 +19,7 @@
 #include "mesh/local_grid.hpp"
 #include "mesh/maxwell.hpp"
 #include "mesh/poisson.hpp"
-#include "particles/interpolate.hpp"
-#include "particles/pusher.hpp"
+#include "pic/kernels.hpp"
 #include "runtime/parallel_engine.hpp"
 #include "scenario/scenario.hpp"
 #include "sfc/index_cache.hpp"
@@ -316,7 +315,6 @@ PicResult run_pic(const PicParams& params) {
 
   const double delta = params.machine.delta;
   const PhaseCosts& pc = params.costs;
-  const double inv_cell = 1.0 / (grid.dx() * grid.dy());
 
   // Fail-stop crash configuration: params plus the PICPAR_CRASH_* overrides.
   // Env entries aimed at ranks this run does not have are dropped so one
@@ -585,9 +583,6 @@ PicResult run_pic(const PicParams& params) {
 
     const auto do_iter = [&](Comm& c, int iter) {
       const int rank = c.rank();
-      const double q = mine.charge();
-      const double m = mine.mass();
-      const bool multi = mine.nspecies() > 1;
       LocalGrid& lg = dom->lg;
       FieldState& f = dom->f;
       GhostExchange& ghosts = dom->ghosts;
@@ -631,55 +626,7 @@ PicResult run_pic(const PicParams& params) {
       ghosts.begin_iteration();
       f.clear_sources();
       const std::size_t n = mine.size();
-      // Per-cell stencil-destination memo (DESIGN.md §10): particles are
-      // kept sorted along the curve, so consecutive particles usually share
-      // a cell. Resolve the four vertex destinations (owned local index or
-      // ghost slot index) once per cell run instead of per particle. Slot
-      // *indices* are memoized, not pointers — the ghost table reallocates
-      // as it grows. Identical lookup order on first touch keeps the ghost
-      // entry order, and therefore all messages, byte-identical.
-      std::uint64_t memo_cell = ~std::uint64_t{0};
-      bool memo_owned[4] = {false, false, false, false};
-      std::uint32_t memo_idx[4] = {0, 0, 0, 0};
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        if (st.node[0] != memo_cell) {
-          memo_cell = st.node[0];
-          for (int k = 0; k < 4; ++k) {
-            const auto l = lg.local_of(st.node[k]);
-            if (l != mesh::kNoLocal && l < lg.owned()) {
-              memo_owned[k] = true;
-              memo_idx[k] = l;
-            } else {
-              memo_owned[k] = false;
-              memo_idx[k] = ghosts.deposit_slot_index(st.node[k]);
-            }
-          }
-        }
-        const double gamma = mine.gamma(i);
-        // Single-species arithmetic is exactly the legacy expression (the
-        // hoisted q), so stride-1 runs stay bit-identical.
-        const double qv = (multi ? mine.charge_of(i) : q) * inv_cell;
-        const double jx = qv * mine.ux[i] / gamma;
-        const double jy = qv * mine.uy[i] / gamma;
-        const double jz = qv * mine.uz[i] / gamma;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          if (memo_owned[k]) {
-            const auto l = memo_idx[k];
-            f.jx[l] += w * jx;
-            f.jy[l] += w * jy;
-            f.jz[l] += w * jz;
-            f.rho[l] += w * qv;
-          } else {
-            double* slot = ghosts.deposit_data(memo_idx[k]);
-            slot[0] += w * jx;
-            slot[1] += w * jy;
-            slot[2] += w * jz;
-            slot[3] += w * qv;
-          }
-        }
-      }
+      deposit(grid, mine, lg, f, ghosts);
       c.charge(static_cast<double>(4 * n) * pc.scatter_per_vertex * delta);
       rec.ghost_entries = ghosts.entries();
       c.mark(trace::kMarkGhostEntries, iter,
@@ -716,101 +663,13 @@ PicResult run_pic(const PicParams& params) {
       // ---- Gather phase ----
       c.set_phase(Phase::kGather);
       ghosts.fetch_fields(c, f);
-      // Same per-cell memo as the scatter loop; positions are unchanged
-      // since scatter, so every vertex is either owned or already has a
-      // ghost slot from the deposit pass.
-      memo_cell = ~std::uint64_t{0};
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        if (st.node[0] != memo_cell) {
-          memo_cell = st.node[0];
-          for (int k = 0; k < 4; ++k) {
-            const auto l = lg.local_of(st.node[k]);
-            if (l != mesh::kNoLocal && l < lg.owned()) {
-              memo_owned[k] = true;
-              memo_idx[k] = l;
-            } else {
-              memo_owned[k] = false;
-              memo_idx[k] = ghosts.slot_of(st.node[k]);
-            }
-          }
-        }
-        // picpar-lint: allow(float-reduction-order) fixed 4-point stencil
-        particles::LocalFields lf;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          if (memo_owned[k]) {
-            const auto l = memo_idx[k];
-            lf.ex += w * f.ex[l];
-            lf.ey += w * f.ey[l];
-            lf.ez += w * f.ez[l];
-            lf.bx += w * f.bx[l];
-            lf.by += w * f.by[l];
-            lf.bz += w * f.bz[l];
-          } else {
-            const double* s = ghosts.field_data(memo_idx[k]);
-            lf.ex += w * s[0];
-            lf.ey += w * s[1];
-            lf.ez += w * s[2];
-            lf.bx += w * s[3];
-            lf.by += w * s[4];
-            lf.bz += w * s[5];
-          }
-        }
-        // Scenario driver: analytic E contribution, a pure function of
-        // (virtual time, position). Branch-gated so legacy runs never touch
-        // the interpolated values (even += 0.0 could flip a -0.0).
-        if (driver_on) {
-          const auto dv = scenario::driver_field(
-              sc->driver, grid, static_cast<double>(iter) * dt, mine.x[i],
-              mine.y[i]);
-          lf.ex += dv.ex;
-          lf.ey += dv.ey;
-        }
-        const double qi = multi ? mine.charge_of(i) : q;
-        const double mi = multi ? mine.mass_of(i) : m;
-        particles::boris_kick(qi, mi, dt, lf, mine.ux[i], mine.uy[i],
-                              mine.uz[i]);
-      }
+      gather_kick(grid, dt, driver_on ? &sc->driver : nullptr,
+                  static_cast<double>(iter) * dt, mine, lg, f, ghosts);
       c.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 
       // ---- Push phase ----
       c.set_phase(Phase::kPush);
-      {
-        const std::uint64_t stride = mine.key_stride();
-        if (!absorb_x && stride == 1) {
-          // Legacy loop, kept verbatim for bit-identity.
-          for (std::size_t i = 0; i < n; ++i) {
-            particles::advance_position(grid, mine, i, dt);
-            mine.key[i] = core::key_of(key_cache, grid, mine.x[i], mine.y[i]);
-          }
-        } else {
-          // Species-aware push with optional open x boundary. Absorbed
-          // particles are compacted out with a write index, preserving the
-          // relative order of the survivors (swap_remove would scramble the
-          // curve order the incremental sort relies on).
-          std::size_t w = 0;
-          for (std::size_t i = 0; i < n; ++i) {
-            if (absorb_x) {
-              if (!particles::advance_position_absorb_x(grid, mine, i, dt)) {
-                ++rec.absorbed;
-                continue;
-              }
-            } else {
-              particles::advance_position(grid, mine, i, dt);
-            }
-            const std::uint64_t key =
-                stride == 1
-                    ? core::key_of(key_cache, grid, mine.x[i], mine.y[i])
-                    : core::encode_key(key_cache, grid, mine.x[i], mine.y[i],
-                                       stride, mine.key[i] % stride);
-            if (w != i) mine.set(w, mine.rec(i));
-            mine.key[w] = key;
-            ++w;
-          }
-          if (w != n) mine.truncate(w);
-        }
-      }
+      rec.absorbed = push(grid, dt, absorb_x, key_cache, mine);
       c.charge(static_cast<double>(n) * pc.push_per_particle * delta);
       // Absorption shrinks the conservation reference; the lost count is
       // agreed collectively (scenario runs only — the legacy path never

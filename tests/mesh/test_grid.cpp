@@ -2,10 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace picpar::mesh {
 namespace {
+
+// The kernels' block scratch and the set-up's memory use both depend on
+// this: a grown GridDesc once cost about 10 MB of fresh pages per run_pic
+// call (DESIGN.md §18).
+static_assert(sizeof(GridDesc) == 24);
+
+/// The wrap formula before its in-range fast path, kept as the reference.
+double reference_wrap(double x, double l) {
+  x -= l * static_cast<double>(static_cast<long long>(x / l));
+  if (x < 0.0) x += l;
+  if (x >= l) x -= l;
+  return x;
+}
+
+/// Bitwise equality: tells -0.0 from 0.0.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 TEST(GridDesc, DefaultPhysicalSizeIsUnitCells) {
   GridDesc g(8, 4);
@@ -66,6 +87,60 @@ TEST(GridDesc, WrapBoundaryLandsInside) {
   const double x = g.wrap_x(4.0);
   EXPECT_GE(x, 0.0);
   EXPECT_LT(x, 4.0);
+}
+
+TEST(GridDesc, WrapMatchesReferenceFormulaBitForBit) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const GridDesc& g :
+       {GridDesc(10, 10), GridDesc(256, 128, 1.0, 0.3), GridDesc(3, 7, 0.1, 0.7),
+        GridDesc(128, 64, 128.0 * 0.1, 64.0 * 0.1)}) {
+    for (const double l : {g.lx, g.ly}) {
+      const double eps = l * std::numeric_limits<double>::epsilon();
+      for (const double x :
+           {0.0, -0.0, tiny, -tiny, -1e-300, std::nextafter(l, 0.0), l, -l,
+            std::nextafter(-l, 0.0), 0.5 * l, 2.0 * l - eps, 2.0 * l,
+            -2.0 * l + eps, 1e6 * l + 0.25 * l, -1e6 * l - 0.25 * l, 1e15,
+            -1e15, std::nextafter(l, 2.0 * l)}) {
+        const double want = reference_wrap(x, l);
+        const double got = l == g.lx ? g.wrap_x(x) : g.wrap_y(x);
+        EXPECT_TRUE(same_bits(got, want))
+            << "l=" << l << " x=" << x << " got " << got << " want " << want;
+      }
+    }
+  }
+}
+
+TEST(GridDesc, WrapFastPathKeepsSignOfZeroAndNan) {
+  GridDesc g(4, 4);
+  EXPECT_TRUE(std::signbit(g.wrap_x(-0.0)));
+  EXPECT_TRUE(std::signbit(g.wrap_y(-0.0)));
+  EXPECT_TRUE(same_bits(g.wrap_x(std::nextafter(4.0, 0.0)),
+                        std::nextafter(4.0, 0.0)));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(g.wrap_x(nan)));
+  EXPECT_TRUE(std::isnan(g.wrap_y(nan)));
+}
+
+TEST(GridDesc, WrapMatchesReferenceOnRandomValues) {
+  // Positions one push step can produce: mostly in range, some just
+  // outside either edge. x/lx rounds up to 1.0 for values just below lx.
+  GridDesc g(256, 128, 25.6, 12.8);
+  std::uint64_t s = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 20000; ++i) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    const double u = static_cast<double>(s >> 11) * 0x1p-53;  // [0, 1)
+    const double x = (u * 1.2 - 0.1) * g.lx;
+    EXPECT_TRUE(same_bits(g.wrap_x(x), reference_wrap(x, g.lx))) << x;
+    EXPECT_TRUE(same_bits(g.wrap_y(x), reference_wrap(x, g.ly))) << x;
+  }
+}
+
+TEST(GridDesc, CellOfWithHoistedCellSizeMatches) {
+  GridDesc g(7, 5, 0.7, 0.3);
+  const double dx = g.dx(), dy = g.dy();
+  for (double x = 0.0; x < g.lx; x += 0.013)
+    for (double y = 0.0; y < g.ly; y += 0.011)
+      EXPECT_EQ(g.cell_of(x, y, dx, dy), g.cell_of(x, y));
 }
 
 TEST(GridDesc, CellOfMapsPositions) {
