@@ -19,13 +19,18 @@ BalanceReport order_maintaining_balance(sim::Comm& comm, ParticleArray& p) {
   const int nranks = comm.size();
   const int rank = comm.rank();
 
-  const auto counts = comm.allgather<std::uint64_t>(p.size());
-  std::uint64_t total = 0;
-  std::uint64_t my_start = 0;
-  for (int r = 0; r < nranks; ++r) {
-    if (r == rank) my_start = total;
-    total += counts[static_cast<std::size_t>(r)];
-  }
+  // Each rank needs only its own start and the total: the prefix sums of
+  // the gathered counts, computed once for every rank of the collective.
+  const auto counts =
+      comm.allgatherv_shared(std::vector<std::uint64_t>{p.size()});
+  const auto& starts = counts->derive<std::vector<std::uint64_t>>([&] {
+    const auto& c = counts->values();
+    std::vector<std::uint64_t> s(c.size() + 1, 0);
+    for (std::size_t r = 0; r < c.size(); ++r) s[r + 1] = s[r] + c[r];
+    return s;
+  });
+  const std::uint64_t total = starts.back();
+  const std::uint64_t my_start = starts[static_cast<std::size_t>(rank)];
 
   // Target ownership: rank r gets global positions [r*N/p, (r+1)*N/p).
   auto target_start = [&](int r) {

@@ -1,6 +1,7 @@
 #include "core/partitioner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -15,6 +16,11 @@ using particles::ParticleRec;
 
 namespace {
 constexpr std::uint64_t kMaxKey = std::numeric_limits<std::uint64_t>::max();
+std::atomic<std::uint64_t> sample_sorts{0};
+}  // namespace
+
+std::uint64_t splitter_sample_sorts() {
+  return sample_sorts.load(std::memory_order_relaxed);
 }
 
 ParticlePartitioner::ParticlePartitioner(
@@ -77,14 +83,16 @@ void ParticlePartitioner::refresh_state(sim::Comm& comm,
   // Upper key of my (sorted) range; empty ranks use 0 and are patched below
   // so bounds stay non-decreasing and identical on every rank.
   const std::uint64_t my_upper = p.empty() ? 0 : p.key[p.size() - 1];
-  const auto uppers = comm.allgather<std::uint64_t>(my_upper);
-  const auto counts = comm.allgather<std::uint64_t>(p.size());
+  const auto uppers =
+      comm.allgatherv_shared(std::vector<std::uint64_t>{my_upper});
+  const auto counts =
+      comm.allgatherv_shared(std::vector<std::uint64_t>{p.size()});
 
   global_bounds_.assign(static_cast<std::size_t>(nranks), 0);
   std::uint64_t prev = 0;
   for (int r = 0; r < nranks; ++r) {
     const auto i = static_cast<std::size_t>(r);
-    global_bounds_[i] = counts[i] == 0 ? prev : uppers[i];
+    global_bounds_[i] = counts->values()[i] == 0 ? prev : uppers->values()[i];
     prev = global_bounds_[i];
   }
 
@@ -149,9 +157,11 @@ RedistReport ParticlePartitioner::distribute(sim::Comm& comm,
   }
 
   // 2-3. Regular sampling of local keys; gather all samples and derive
-  // p-1 splitters at regular positions. The p*s gathered samples are freed
-  // before routing: a rank's fiber can wait in the exchange below while
-  // every other rank runs this step.
+  // p-1 splitters at regular positions. Every rank of the allgatherv holds
+  // the same gathered object, and the first rank to ask sorts its samples
+  // for all (DESIGN.md §19). This rank's reference is dropped before
+  // routing: a rank's fiber can wait in the exchange below while every
+  // other rank runs this step, and the last one to leave frees the set.
   {
     const int s = cfg_.samples_per_rank;
     std::vector<std::uint64_t> samples;
@@ -164,12 +174,18 @@ RedistReport ParticlePartitioner::distribute(sim::Comm& comm,
         samples.push_back(p.key[std::min(pos, p.size() - 1)]);
       }
     }
-    auto all_samples = comm.allgatherv(samples);
-    // The model charges a comparison sort (~n log n for the tiny sample
-    // set); the host sorts the same multiset by radix (DESIGN.md §17).
-    const std::uint64_t before = all_samples.size();
+    const auto gathered = comm.allgatherv_shared(samples);
+    // The model charges each rank a comparison sort (~n log n for the tiny
+    // sample set); the host sorts the multiset once, by radix (DESIGN.md
+    // §17).
+    const std::uint64_t before = gathered->values().size();
     rep.work.comparisons += before > 1 ? before * 10 : 0;
-    radix_sort_keys(all_samples);
+    const auto& all_samples = gathered->derive<std::vector<std::uint64_t>>([&] {
+      std::vector<std::uint64_t> sorted = gathered->values();
+      radix_sort_keys(sorted);
+      sample_sorts.fetch_add(1, std::memory_order_relaxed);
+      return sorted;
+    });
 
     // Splitters become inclusive upper bounds: rank r takes keys in
     // (split[r-1], split[r]], last rank unbounded.
@@ -237,8 +253,7 @@ RedistReport ParticlePartitioner::redistribute(sim::Comm& comm,
     // Fig 12 line 1: refresh the global processor bounds from the previous
     // sorted state (they are already cached; the allgather keeps the
     // communication pattern of the paper's algorithm).
-    const auto counts = comm.allgather<std::uint64_t>(p.size());
-    (void)counts;
+    (void)comm.allgatherv_shared(std::vector<std::uint64_t>{p.size()});
   }
 
   const std::uint64_t my_lower =

@@ -54,6 +54,11 @@ struct RedistReport {
   double seconds = 0.0;              ///< virtual time this rank spent
 };
 
+/// Process-wide count of splitter sample sets that distribute() has sorted.
+/// The ranks of one distribute share the sort, so each call adds one
+/// whatever p is; tests read it to check that.
+std::uint64_t splitter_sample_sorts();
+
 class ParticlePartitioner {
 public:
   /// `keys` is the cell -> curve-index table of `curve` on `grid`; it is

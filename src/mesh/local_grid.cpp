@@ -17,9 +17,26 @@ LocalGrid::LocalGrid(const GridPartition& part, int rank)
   owned_ = mine.size();
   gids_.assign(mine.begin(), mine.end());
 
-  local_.assign(static_cast<std::size_t>(g.nodes()), kNoLocal);
+  // The index table spans the lowest to the highest owned or ghost gid.
+  // Ghosts are the stencil neighbours not owned here, so the owned nodes
+  // and their neighbours span the same range, and the table can be sized
+  // before the ghost lists exist. Allocating it after them instead changes
+  // the heap layout enough to cost fresh page faults in every set-up
+  // (DESIGN.md §19).
+  if (owned_ > 0) {
+    std::uint64_t lo = gids_[0], hi = gids_[0];
+    for (const auto id : gids_)
+      for (const auto nb :
+           {id, g.east(id), g.west(id), g.north(id), g.south(id)}) {
+        lo = std::min(lo, nb);
+        hi = std::max(hi, nb);
+      }
+    local_lo_ = lo;
+    local_.assign(static_cast<std::size_t>(hi - lo + 1), kNoLocal);
+  }
   for (std::size_t l = 0; l < owned_; ++l)
-    local_[static_cast<std::size_t>(gids_[l])] = static_cast<std::uint32_t>(l);
+    local_[static_cast<std::size_t>(gids_[l] - local_lo_)] =
+        static_cast<std::uint32_t>(l);
 
   // Discover ghosts: stencil neighbors of owned nodes not owned by us,
   // grouped by owner then gid so both exchange sides agree on ordering.
@@ -48,7 +65,7 @@ LocalGrid::LocalGrid(const GridPartition& part, int rank)
       const auto l = static_cast<std::uint32_t>(gids_.size());
       gids_.push_back(gid);
       ghost_gids_.push_back(gid);
-      local_[static_cast<std::size_t>(gid)] = l;
+      local_[static_cast<std::size_t>(gid - local_lo_)] = l;
       peer.recv.push_back(l);
     }
     peers_.push_back(std::move(peer));
@@ -79,17 +96,17 @@ LocalGrid::LocalGrid(const GridPartition& part, int rank)
     }
     it->send.reserve(list.size());
     for (const auto gid : list)
-      it->send.push_back(local_[static_cast<std::size_t>(gid)]);
+      it->send.push_back(local_of(gid));
   }
 
   // Stencil map for owned nodes.
   stencil_.resize(4 * owned_);
   for (std::size_t l = 0; l < owned_; ++l) {
     const std::uint64_t id = gids_[l];
-    stencil_[4 * l + 0] = local_[static_cast<std::size_t>(g.east(id))];
-    stencil_[4 * l + 1] = local_[static_cast<std::size_t>(g.west(id))];
-    stencil_[4 * l + 2] = local_[static_cast<std::size_t>(g.north(id))];
-    stencil_[4 * l + 3] = local_[static_cast<std::size_t>(g.south(id))];
+    stencil_[4 * l + 0] = local_of(g.east(id));
+    stencil_[4 * l + 1] = local_of(g.west(id));
+    stencil_[4 * l + 2] = local_of(g.north(id));
+    stencil_[4 * l + 3] = local_of(g.south(id));
   }
 }
 

@@ -41,7 +41,8 @@ public:
 
   /// Local index of global node, or kNoLocal if neither owned nor ghost.
   std::uint32_t local_of(std::uint64_t gid) const {
-    return local_[static_cast<std::size_t>(gid)];
+    const std::uint64_t i = gid - local_lo_;  // wraps below the range
+    return i < local_.size() ? local_[static_cast<std::size_t>(i)] : kNoLocal;
   }
 
   bool owns(std::uint64_t gid) const {
@@ -79,7 +80,10 @@ private:
   std::size_t owned_ = 0;
   std::vector<std::uint64_t> gids_;        // local -> global (owned + ghosts)
   std::vector<std::uint64_t> ghost_gids_;  // ghost part of gids_
-  std::vector<std::uint32_t> local_;       // global -> local (direct table)
+  /// global -> local, a direct table over [local_lo_, highest owned or
+  /// ghost gid]: the rank's own stretch of the grid, not all of it.
+  std::vector<std::uint32_t> local_;
+  std::uint64_t local_lo_ = 0;
   std::vector<std::uint32_t> stencil_;     // 4 per owned node
   std::vector<HaloPeer> peers_;
 };

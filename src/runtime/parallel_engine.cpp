@@ -88,7 +88,7 @@ void ParallelEngine::rank_thread(
 }
 
 void ParallelEngine::send(sim::Machine& m, int src, int dst, int tag,
-                          std::vector<std::byte> payload) {
+                          sim::Payload payload) {
   // The sender-side half (clock charge, stats, envelope, observer, fault
   // draws) touches only rank-owned state, so it runs outside the engine
   // mutex; the destination-mailbox insert and the clock publication take

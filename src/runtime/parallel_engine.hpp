@@ -55,7 +55,7 @@ public:
 
   // ---- sim::ParallelRuntimeHooks ----
   void send(sim::Machine& m, int src, int dst, int tag,
-            std::vector<std::byte> payload) override;
+            sim::Payload payload) override;
   sim::Message recv(sim::Machine& m, int rank, int src, int tag,
                     bool fp_payload) override;
   bool iprobe(sim::Machine& m, int rank, int src, int tag) override;

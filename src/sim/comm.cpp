@@ -1,6 +1,7 @@
 #include "sim/comm.hpp"
 
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 namespace picpar::sim {
@@ -10,21 +11,19 @@ namespace {
 // Serialized record stream used by the binomial allgatherv: a sequence of
 // (origin: u64, length: u64, payload bytes) records.
 void append_record(std::vector<std::byte>& buf, std::uint64_t origin,
-                   const std::byte* data, std::uint64_t len) {
+                   std::span<const std::byte> data) {
+  const std::uint64_t len = data.size();
   const std::size_t base = buf.size();
   buf.resize(base + 16 + len);
   std::memcpy(buf.data() + base, &origin, 8);
   std::memcpy(buf.data() + base + 8, &len, 8);
-  if (len) std::memcpy(buf.data() + base + 16, data, len);
+  if (len) std::memcpy(buf.data() + base + 16, data.data(), len);
 }
 
 }  // namespace
 
-std::vector<std::byte> Comm::allgatherv_bytes(
-    std::vector<std::byte> mine, std::vector<std::size_t>& offsets) {
+Payload Comm::allgatherv_stream(std::span<const std::byte> mine) {
   const int p = size();
-  offsets.assign(static_cast<std::size_t>(p), 0);
-  if (p == 1) return mine;
   CollectiveScope scope(*this);
 
   // Binomial-tree gather of records to group rank 0 (all ranks below are
@@ -34,63 +33,57 @@ std::vector<std::byte> Comm::allgatherv_bytes(
   // stream — rank 0's included — is already in ascending rank order.
   const int gr = rank();
   std::vector<std::byte> acc;
-  append_record(acc, static_cast<std::uint64_t>(gr), mine.data(),
-                mine.size());
+  append_record(acc, static_cast<std::uint64_t>(gr), mine);
   constexpr int kTagGather = -450;
   for (int mask = 1; mask < p; mask <<= 1) {
     if ((gr & mask) != 0) {
-      send_bytes(gr & ~mask, kTagGather, std::move(acc));
-      acc.clear();
+      send_bytes(gr & ~mask, kTagGather, Payload(std::move(acc)));
       break;
     }
     const int partner = gr | mask;
     if (partner < p) {
-      Message m = recv_msg(partner, kTagGather);
-      acc.insert(acc.end(), m.payload.begin(), m.payload.end());
+      const Message m = recv_msg(partner, kTagGather);
+      acc.insert(acc.end(), m.payload.data(), m.payload.data() + m.bytes());
     }
   }
 
-  // Binomial broadcast of the rank-ordered stream from rank 0.
-  {
-    constexpr int kTagCat = -460;
-    int mask = 1;
-    while (mask < p) {
-      if (gr & mask) {
-        Message m = recv_msg(gr - mask, kTagCat);
-        acc = std::move(m.payload);
-        break;
-      }
-      mask <<= 1;
+  // Binomial broadcast of the rank-ordered stream from rank 0. Each rank
+  // forwards the buffer it received, so all p ranks end up holding rank
+  // 0's one buffer.
+  constexpr int kTagCat = -460;
+  Payload stream;
+  if (gr == 0) stream = Payload(std::move(acc));
+  int mask = 1;
+  while (mask < p) {
+    if (gr & mask) {
+      stream = recv_msg(gr - mask, kTagCat).payload;
+      break;
     }
-    mask >>= 1;
-    while (mask > 0) {
-      if (gr + mask < p) {
-        std::vector<std::byte> copy = acc;
-        send_bytes(gr + mask, kTagCat, std::move(copy));
-      }
-      mask >>= 1;
-    }
+    mask <<= 1;
   }
+  for (mask >>= 1; mask > 0; mask >>= 1)
+    if (gr + mask < p) send_bytes(gr + mask, kTagCat, stream);
+  return stream;
+}
 
-  // Strip the record headers in place: each payload moves down to the
-  // write cursor, which never passes the read cursor.
+std::vector<std::size_t> Comm::stream_offsets(const Payload& stream, int p) {
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(p) + 1, 0);
   std::size_t rd = 0, wr = 0;
   for (int r = 0; r < p; ++r) {
     std::uint64_t origin = 0, len = 0;
-    if (acc.size() - rd < 16)
+    if (stream.size() - rd < kRecordHeader)
       throw std::runtime_error("allgatherv: truncated record stream");
-    std::memcpy(&origin, acc.data() + rd, 8);
-    std::memcpy(&len, acc.data() + rd + 8, 8);
-    rd += 16;
-    if (origin != static_cast<std::uint64_t>(r) || acc.size() - rd < len)
+    std::memcpy(&origin, stream.data() + rd, 8);
+    std::memcpy(&len, stream.data() + rd + 8, 8);
+    rd += kRecordHeader;
+    if (origin != static_cast<std::uint64_t>(r) || stream.size() - rd < len)
       throw std::runtime_error("allgatherv: record stream out of rank order");
     offsets[static_cast<std::size_t>(r)] = wr;
-    if (len) std::memmove(acc.data() + wr, acc.data() + rd, len);
     wr += len;
     rd += len;
   }
-  acc.resize(wr);
-  return acc;
+  offsets.back() = wr;
+  return offsets;
 }
 
 void Comm::barrier() {

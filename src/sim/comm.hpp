@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <type_traits>
@@ -23,6 +24,34 @@
 #include "sim/machine.hpp"
 
 namespace picpar::sim {
+
+/// One allgatherv's result: every rank's block, concatenated in rank order.
+/// Comm::allgatherv_shared hands the same immutable object to every rank of
+/// the collective, and derive() computes a value from it once for all of
+/// them — on the CM-5 the control network left one identical copy on each
+/// processor; here one host object stands for all p.
+template <typename T>
+class Gathered {
+public:
+  Gathered(std::vector<T> values, std::vector<std::size_t> offsets)
+      : values_(std::move(values)), offsets_(std::move(offsets)) {}
+
+  const std::vector<T>& values() const { return values_; }
+  /// offsets()[r] is the index of rank r's first element (p entries).
+  const std::vector<std::size_t>& offsets() const { return offsets_; }
+
+  /// A value computed from the gathered data by the first rank that asks;
+  /// see OnceValue for the rules `make` follows.
+  template <typename V, typename F>
+  const V& derive(F&& make) const {
+    return derived_.template get<V>(std::forward<F>(make));
+  }
+
+private:
+  std::vector<T> values_;
+  std::vector<std::size_t> offsets_;
+  OnceValue derived_;
+};
 
 class Comm {
 public:
@@ -129,16 +158,15 @@ public:
 
   // ---- point to point (src/dst are group indices) ----
 
-  void send_bytes(int dst, int tag, std::vector<std::byte> payload) {
+  /// Sends a payload as is; forwarding a received payload shares its
+  /// buffer instead of copying it.
+  void send_bytes(int dst, int tag, Payload payload) {
     machine_->do_send(rank_, phys(dst), tag, std::move(payload));
   }
 
   template <typename T>
   void send(int dst, int tag, std::span<const T> data) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> buf(data.size_bytes());
-    if (!data.empty()) std::memcpy(buf.data(), data.data(), data.size_bytes());
-    send_bytes(dst, tag, std::move(buf));
+    send_bytes(dst, tag, encode(data));
   }
 
   template <typename T>
@@ -163,20 +191,9 @@ public:
   template <typename T>
   std::vector<T> recv(int src = kAnySource, int tag = kAnyTag,
                       int* actual_src = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    // The element type is surfaced to the analyzer: a wildcard receive of
-    // floating-point data feeding an accumulation is how reduction-order
-    // sensitivity enters a program.
-    Message m =
-        machine_->do_recv(rank_, src == kAnySource ? kAnySource : phys(src),
-                          tag, std::is_floating_point_v<T>);
+    Message m = recv_typed<T>(src, tag);
     if (actual_src) *actual_src = gidx(m.src);
-    if (m.payload.size() % sizeof(T) != 0)
-      throw std::runtime_error("recv: payload size not a multiple of sizeof(T)");
-    std::vector<T> out(m.payload.size() / sizeof(T));
-    if (!out.empty())
-      std::memcpy(out.data(), m.payload.data(), m.payload.size());
-    return out;
+    return decode<T>(m.payload);
   }
 
   template <typename T>
@@ -236,20 +253,58 @@ public:
   std::vector<T> allgather(const T& v);
 
   /// Allgather of a variable-length block per rank ("global concatenation"
-  /// in the paper); result is the concatenation in rank order. offsets[r]
-  /// gives the start of rank r's block. Implemented as a binomial-tree
-  /// gather to rank 0 followed by a binomial broadcast — O(log p) message
-  /// start-ups, matching the CM-5's fast control-network concatenation.
+  /// in the paper), as one object every rank of the collective shares.
+  /// Implemented as a binomial-tree gather to rank 0 followed by a
+  /// binomial broadcast — O(log p) message start-ups, matching the CM-5's
+  /// fast control-network concatenation. The broadcast forwards one buffer
+  /// down the tree, and the first rank to read it decodes it for all.
+  template <typename T>
+  std::shared_ptr<const Gathered<T>> allgatherv_shared(
+      const std::vector<T>& mine);
+
+  /// allgatherv_shared's result as a private copy: the concatenation in
+  /// rank order, with offsets[r] the start of rank r's block.
   template <typename T>
   std::vector<T> allgatherv(const std::vector<T>& mine,
                             std::vector<std::size_t>* offsets = nullptr);
 
 private:
-  /// allgatherv workhorse on raw bytes. Returns the rank-ordered
-  /// concatenation as one flat buffer; offsets[r] is the byte offset of
-  /// rank r's block (p entries).
-  std::vector<std::byte> allgatherv_bytes(std::vector<std::byte> mine,
-                                          std::vector<std::size_t>& offsets);
+  /// allgatherv's wire protocol on raw bytes (p > 1). Returns the
+  /// broadcast record stream, one buffer shared by every rank.
+  Payload allgatherv_stream(std::span<const std::byte> mine);
+  /// Validate a record stream of p blocks in rank order; returns the byte
+  /// offset of each block in the header-free concatenation, plus its total
+  /// size as entry p.
+  static std::vector<std::size_t> stream_offsets(const Payload& stream,
+                                                 int p);
+  static constexpr std::size_t kRecordHeader = 16;  ///< origin + length
+
+  template <typename T>
+  static Payload encode(std::span<const T> data) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::vector<std::byte> buf(data.size_bytes());
+    if (!data.empty()) std::memcpy(buf.data(), data.data(), data.size_bytes());
+    return Payload(std::move(buf));
+  }
+  template <typename T>
+  static std::vector<T> decode(const Payload& payload) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (payload.size() % sizeof(T) != 0)
+      throw std::runtime_error("recv: payload size not a multiple of sizeof(T)");
+    std::vector<T> out(payload.size() / sizeof(T));
+    if (!out.empty()) std::memcpy(out.data(), payload.data(), payload.size());
+    return out;
+  }
+  /// Blocking receive of a message carrying T elements. The element type
+  /// is surfaced to the analyzer: a wildcard receive of floating-point data
+  /// feeding an accumulation is how reduction-order sensitivity enters a
+  /// program.
+  template <typename T>
+  Message recv_typed(int src, int tag) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    return machine_->do_recv(rank_, src == kAnySource ? kAnySource : phys(src),
+                             tag, std::is_floating_point_v<T>);
+  }
 
 public:
 
@@ -351,18 +406,23 @@ std::vector<T> Comm::bcast(std::vector<T> data, int root) {
   const int vrank = (rank() - root + p) % p;
   // Walk masks upward to find the level at which we receive from our
   // parent, then forward downward to each child (standard binomial tree).
+  // Every child gets the buffer this rank received (the root's, encoded
+  // once), not a copy of it.
+  Payload wire;
   int mask = 1;
   while (mask < p) {
     if (vrank & mask) {
       const int parent = (vrank - mask + root) % p;
-      data = recv<T>(parent, kTagBcast);
+      wire = recv_typed<T>(parent, kTagBcast).payload;
+      data = decode<T>(wire);
       break;
     }
     mask <<= 1;
   }
+  if (vrank == 0) wire = encode(std::span<const T>(data));
   mask >>= 1;
   while (mask > 0) {
-    if (vrank + mask < p) send((vrank + mask + root) % p, kTagBcast, data);
+    if (vrank + mask < p) send_bytes((vrank + mask + root) % p, kTagBcast, wire);
     mask >>= 1;
   }
   return data;
@@ -412,23 +472,43 @@ std::vector<T> Comm::allgather(const T& v) {
 }
 
 template <typename T>
+std::shared_ptr<const Gathered<T>> Comm::allgatherv_shared(
+    const std::vector<T>& mine) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const int p = size();
+  if (p == 1)
+    return std::make_shared<const Gathered<T>>(mine,
+                                               std::vector<std::size_t>{0});
+  const Payload stream = allgatherv_stream(std::as_bytes(std::span(mine)));
+  // The header strip and the typed decode run once, on the shared buffer,
+  // by whichever rank reads it first.
+  return stream.derive<Gathered<T>>([&stream, p] {
+    const auto bytes_at = stream_offsets(stream, p);
+    if (bytes_at.back() % sizeof(T) != 0)
+      throw std::runtime_error(
+          "allgatherv: byte count not multiple of sizeof(T)");
+    std::vector<T> values(bytes_at.back() / sizeof(T));
+    auto* out = reinterpret_cast<std::byte*>(values.data());
+    std::vector<std::size_t> offsets(static_cast<std::size_t>(p));
+    for (std::size_t r = 0; r < offsets.size(); ++r) {
+      offsets[r] = bytes_at[r] / sizeof(T);
+      const std::size_t len = bytes_at[r + 1] - bytes_at[r];
+      // In the stream, rank r's block follows r + 1 record headers.
+      if (len != 0)
+        std::memcpy(out + bytes_at[r],
+                    stream.data() + bytes_at[r] + (r + 1) * kRecordHeader,
+                    len);
+    }
+    return Gathered<T>(std::move(values), std::move(offsets));
+  });
+}
+
+template <typename T>
 std::vector<T> Comm::allgatherv(const std::vector<T>& mine,
                                 std::vector<std::size_t>* offsets) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<std::byte> raw(mine.size() * sizeof(T));
-  if (!mine.empty()) std::memcpy(raw.data(), mine.data(), raw.size());
-  std::vector<std::size_t> byte_offsets;
-  const auto flat = allgatherv_bytes(std::move(raw), byte_offsets);
-  if (flat.size() % sizeof(T) != 0)
-    throw std::runtime_error("allgatherv: byte count not multiple of sizeof(T)");
-  std::vector<T> out(flat.size() / sizeof(T));
-  if (!flat.empty()) std::memcpy(out.data(), flat.data(), flat.size());
-  if (offsets) {
-    offsets->resize(byte_offsets.size());
-    for (std::size_t r = 0; r < byte_offsets.size(); ++r)
-      (*offsets)[r] = byte_offsets[r] / sizeof(T);
-  }
-  return out;
+  const auto gathered = allgatherv_shared(mine);
+  if (offsets) *offsets = gathered->offsets();
+  return gathered->values();
 }
 
 template <typename T>

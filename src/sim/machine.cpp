@@ -8,6 +8,7 @@
 
 #include "sim/comm.hpp"
 #include "sim/fiber.hpp"
+#include "sim/held_set.hpp"
 
 namespace picpar::sim {
 
@@ -224,8 +225,9 @@ std::string Machine::deadlock_report() const {
 // At a global stall every rank has been probed since its last change, so
 // the ranks with a pending candidate are exactly those whose last probe
 // found one held back, and that candidate is still the one find_candidate
-// would return: stall_pick compares the recorded candidates of those ranks
-// instead of rescanning p mailboxes.
+// would return: the scheduler keeps those ranks ordered by their recorded
+// candidates' keys, and stall_pick reads the minimum instead of rescanning
+// p mailboxes.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -241,13 +243,6 @@ public:
   void set_all() {
     std::fill(words_.begin(), words_.end(), ~std::uint64_t{0});
     if (n_ % 64 != 0) words_.back() = (std::uint64_t{1} << (n_ % 64)) - 1;
-  }
-  /// Call f(r) for every set rank r, in ascending order.
-  template <typename F>
-  void for_each(F&& f) const {
-    for (std::size_t w = 0; w < words_.size(); ++w)
-      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
-        f(static_cast<int>(w * 64) + std::countr_zero(bits));
   }
   /// First set rank in round-robin order from `start`; -1 when none.
   int first_from(int start) const {
@@ -289,7 +284,6 @@ struct Machine::Sched {
         slots(static_cast<std::size_t>(m.nranks_)),
         ready(m.nranks_),
         held(m.nranks_),
-        held_cand(static_cast<std::size_t>(m.nranks_)),
         watchers(static_cast<std::size_t>(m.nranks_)) {
     constexpr std::size_t kStack = detail::Fiber::kDefaultStackBytes;
     for (int r = 0; r < m.nranks_; ++r) {
@@ -325,8 +319,9 @@ struct Machine::Sched {
   detail::Fiber main;  ///< the context inside run()
   std::vector<Slot> slots;
   RankBits ready;  ///< might be runnable
-  RankBits held;   ///< last probe found a candidate the lower bound held back
-  std::vector<Candidate> held_cand;  ///< that candidate, per held rank
+  /// Ranks whose last probe found a candidate the lower bound held back,
+  /// with that candidate's key.
+  detail::HeldSet held;
   /// watchers[r]: ranks whose wildcard receive was last found held back by
   /// r's clock. Entries can be stale (the rank since moved on); waking a
   /// stale entry only costs one extra probe.
@@ -334,20 +329,25 @@ struct Machine::Sched {
 };
 
 bool Machine::runnable(RankState& rs) {
-  sched_->held.reset(rs.id);
+  Sched& s = *sched_;
+  if (!rs.done && !rs.in_membership && rs.waiting &&
+      fail_recv_rank_ != rs.id) {
+    const Candidate c = find_candidate(rs.id, rs.want_src, rs.want_tag);
+    if (c.pos >= 0 && force_commit_rank_ != rs.id) {
+      const int blocker = commit_blocker(rs.id, rs.want_src, c);
+      if (blocker >= 0) {
+        s.held.hold(rs.id, c.arrival, c.src, c.seq, c.dup);
+        s.watchers[static_cast<std::size_t>(blocker)].push_back(rs.id);
+        return false;
+      }
+    }
+    s.held.release(rs.id);
+    return c.pos >= 0;
+  }
+  s.held.release(rs.id);
   if (rs.done) return false;
   if (rs.in_membership) return rs.membership_ready;
-  if (!rs.waiting) return true;
-  if (fail_recv_rank_ == rs.id) return true;
-  const Candidate c = find_candidate(rs.id, rs.want_src, rs.want_tag);
-  if (c.pos < 0) return false;
-  if (force_commit_rank_ == rs.id) return true;
-  const int blocker = commit_blocker(rs.id, rs.want_src, c);
-  if (blocker < 0) return true;
-  sched_->held.set(rs.id);
-  sched_->held_cand[static_cast<std::size_t>(rs.id)] = c;
-  sched_->watchers[static_cast<std::size_t>(blocker)].push_back(rs.id);
-  return false;
+  return true;  // not in a receive, or elected to observe a peer failure
 }
 
 int Machine::pick_next(int from) {
@@ -372,6 +372,15 @@ int Machine::stall_pick() {
   // is reached by the same commit sequence in every schedule), so the
   // choice is too. No candidate anywhere = true deadlock, exactly the
   // sequential scheduler's deadlock set.
+  if (sched_ != nullptr) {
+    // Sequential: every rank was probed since its mailbox last changed, so
+    // the ranks with a candidate are the held ones, and the candidate each
+    // probe found is still current (see the scheduler notes above). The
+    // held set orders them by key, lowest rank first on a full tie, which
+    // is the scan below's pick. A held rank is parked in its receive: it
+    // leaves the set before it next runs.
+    return sched_->held.min_rank();
+  }
   int best_rank = -1;
   Candidate best;
   auto consider = [&](int rank, const Candidate& c) {
@@ -387,17 +396,6 @@ int Machine::stall_pick() {
       best_rank = rank;
     }
   };
-  if (sched_ != nullptr) {
-    // Sequential: every rank was probed since its mailbox last changed, so
-    // the ranks with a candidate are the held ones, and the candidate each
-    // probe found is still current (see the scheduler notes above).
-    // A held rank is parked in its receive: it leaves the set before it
-    // next runs.
-    sched_->held.for_each([&](int r) {
-      consider(r, sched_->held_cand[static_cast<std::size_t>(r)]);
-    });
-    return best_rank;
-  }
   for (const auto& rs : ranks_) {
     if (rs.done || !rs.waiting) continue;
     const Candidate c = find_candidate(rs.id, rs.want_src, rs.want_tag);
@@ -418,13 +416,13 @@ int Machine::next_rank(int from) {
   const int forced = stall_pick();
   if (forced >= 0) {
     force_commit_rank_ = forced;
-    sched_->held.reset(forced);
+    sched_->held.release(forced);
     return forced;
   }
   const int victim = pick_failure_victim();
   if (victim >= 0) {
     fail_recv_rank_ = victim;
-    sched_->held.reset(victim);
+    sched_->held.release(victim);
     return victim;
   }
   if (try_complete_membership()) {
@@ -481,9 +479,9 @@ void Machine::leave(int rank) {
   detail::Fiber::exit_to(s.fiber(rank), next < 0 ? s.main : s.fiber(next));
 }
 
-int Machine::build_send(int src, int dst, int tag,
-                        std::vector<std::byte> payload, Message out[2],
-                        double* new_clock, bool* reorder_first) {
+int Machine::build_send(int src, int dst, int tag, Payload payload,
+                        Message out[2], double* new_clock,
+                        bool* reorder_first) {
   // Everything here touches only sender-owned state (clock arithmetic,
   // stats, per-destination sequence counters, the sender's fault stream,
   // per-rank observer state), so the parallel engine runs it outside the
@@ -549,7 +547,7 @@ int Machine::build_send(int src, int dst, int tag,
   // reordering comes from jittered arrival timestamps instead.
   *reorder_first = faults_.should_reorder(src);
   if (duplicate) {
-    Message copy = m;
+    Message copy = m;  // shares the payload buffer
     copy.dup = true;
     copy.arrival += faults_.latency_jitter(src);
     out[0] = std::move(m);
@@ -574,8 +572,7 @@ void Machine::enqueue_messages(Message out[2], int n, bool reorder_first) {
   if (n > 1) dstbox.push_back(std::move(out[1]));
 }
 
-void Machine::do_send(int src, int dst, int tag,
-                      std::vector<std::byte> payload) {
+void Machine::do_send(int src, int dst, int tag, Payload payload) {
   if (dst < 0 || dst >= nranks_)
     throw std::out_of_range("send: bad destination rank " +
                             std::to_string(dst));
@@ -603,12 +600,13 @@ LinkStats& Machine::link_stats(RankState& rs, int src) {
 
 /// Receiver-side recovery of a delivery the fault model corrupted on the
 /// wire: prove detection (flip a real bit, watch the FNV-1a checksum
-/// mismatch), then model a NACK on the control channel (kTagRetransmit)
-/// plus a retransmission from the sender's NIC buffer, with exponential
-/// backoff in virtual time. The sender's *program* is never interrupted —
-/// the wire copy is retransmitted below it, so the whole round-trip is
-/// charged to the receiver as added latency. Throws TransportError once
-/// the retry budget is exhausted.
+/// mismatch) on a private copy, since the delivered payload may share its
+/// buffer with other ranks' messages, then model a NACK on the control
+/// channel (kTagRetransmit) plus a retransmission from the sender's NIC
+/// buffer, with exponential backoff in virtual time. The sender's *program*
+/// is never interrupted — the wire copy is retransmitted below it, so the
+/// whole round-trip is charged to the receiver as added latency. Throws
+/// TransportError once the retry budget is exhausted.
 void Machine::recover_corruption(int rank, const Message& m) {
   auto& rs = ranks_[rank];
   const int max_retries = faults_.config().max_retries;
@@ -616,7 +614,7 @@ void Machine::recover_corruption(int rank, const Message& m) {
   int attempt = 0;
   std::vector<std::byte> tainted;
   while (faults_.should_corrupt_delivery(rank)) {
-    tainted = m.payload;
+    tainted = m.payload.copy();
     faults_.flip_random_bit(rank, tainted.data(), tainted.size());
     if (!tainted.empty() &&
         fnv1a(tainted.data(), tainted.size()) == m.checksum) {

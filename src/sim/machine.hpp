@@ -218,7 +218,7 @@ class ParallelRuntimeHooks {
 public:
   virtual ~ParallelRuntimeHooks() = default;
   virtual void send(Machine& m, int src, int dst, int tag,
-                    std::vector<std::byte> payload) = 0;
+                    Payload payload) = 0;
   virtual Message recv(Machine& m, int rank, int src, int tag,
                        bool fp_payload) = 0;
   virtual bool iprobe(Machine& m, int rank, int src, int tag) = 0;
@@ -341,7 +341,7 @@ private:
 
   // --- used by Comm (sequential: only the active rank executes; parallel:
   //     delegated to the engine hooks, which serialize mailbox access) ---
-  void do_send(int src, int dst, int tag, std::vector<std::byte> payload);
+  void do_send(int src, int dst, int tag, Payload payload);
   Message do_recv(int rank, int src, int tag, bool fp_payload = false);
   bool do_iprobe(int rank, int src, int tag);
   MembershipView do_agree(int rank);
@@ -438,8 +438,9 @@ private:
   /// the receiver owning the globally minimal candidate (to force-commit:
   /// no rank can send until something commits, so the conservative bound is
   /// vacuously resolved in key order), or -1 = true deadlock. The
-  /// sequential scheduler answers it from the candidates its probes
-  /// recorded; the parallel engine scans every mailbox.
+  /// sequential scheduler reads the minimum of the candidates its probes
+  /// recorded, kept in key order (detail::HeldSet); the parallel engine
+  /// scans every mailbox.
   int stall_pick();
 
   /// Sender-side half of do_send: charge, stats, envelope, observer,
@@ -448,8 +449,8 @@ private:
   /// which the caller publishes only after enqueueing so concurrent
   /// lower-bound reads stay conservative. *reorder_first reports the fault
   /// model's reorder draw for enqueue positioning.
-  int build_send(int src, int dst, int tag, std::vector<std::byte> payload,
-                 Message out[2], double* new_clock, bool* reorder_first);
+  int build_send(int src, int dst, int tag, Payload payload, Message out[2],
+                 double* new_clock, bool* reorder_first);
   void enqueue_messages(Message out[2], int n, bool reorder_first);
 
   // --- sequential scheduler (machine.cpp explains the ready set) ---

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "pic/simulation.hpp"
 
@@ -26,7 +28,32 @@ PicParams tiny_params() {
   return p;
 }
 
+/// Clears an environment variable for one scope and restores the caller's
+/// value, if any, afterwards.
+class ClearedEnv {
+public:
+  explicit ClearedEnv(const char* name) : name_(name) {
+    if (const char* v = std::getenv(name)) saved_ = v;
+    ::unsetenv(name);
+  }
+  ~ClearedEnv() {
+    if (saved_)
+      ::setenv(name_, saved_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ClearedEnv(const ClearedEnv&) = delete;
+  ClearedEnv& operator=(const ClearedEnv&) = delete;
+
+private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
 TEST(AnalysisPic, DisabledByDefault) {
+  // The default, not the environment: CI's analyzer smoke step sets
+  // PICPAR_ANALYZE=1 for this whole suite on purpose.
+  const ClearedEnv no_analyze("PICPAR_ANALYZE");
   const auto r = run_pic(tiny_params());
   EXPECT_EQ(r.analysis_findings, -1);
   EXPECT_TRUE(r.analysis_report.empty());

@@ -332,6 +332,7 @@ TEST(Partitioner, DistributeRoutesByStdSortSplitters) {
 
     sfc::HilbertCurve curve(32, 32);
     sim::Machine m(p, sim::CostModel::zero());
+    const std::uint64_t sorts_before = splitter_sample_sorts();
     m.run([&](sim::Comm& c) {
       const auto r = static_cast<std::size_t>(c.rank());
       ParticleArray mine(-1.0, 1.0);
@@ -348,6 +349,8 @@ TEST(Partitioner, DistributeRoutesByStdSortSplitters) {
       EXPECT_EQ(part.rank_upper_bounds(), expect_bounds) << "rank " << r;
       EXPECT_EQ(mine.size(), balanced_count(total, p, c.rank()));
     });
+    // The p ranks shared one sort of the gathered samples.
+    EXPECT_EQ(splitter_sample_sorts() - sorts_before, 1u);
   }
 }
 

@@ -36,14 +36,24 @@ class LocalGridDecomp : public ::testing::TestWithParam<Decomp> {};
 
 TEST_P(LocalGridDecomp, LocalIndexingIsConsistent) {
   GridDesc g(16, 12);
-  const auto part = GetParam().make(g, 6);
-  for (int r = 0; r < 6; ++r) {
-    LocalGrid lg(part, r);
-    EXPECT_EQ(lg.owned(), part.count_of(r));
-    for (std::size_t l = 0; l < lg.total(); ++l)
-      EXPECT_EQ(lg.local_of(lg.gid_of(l)), l);
-    for (std::size_t l = 0; l < lg.owned(); ++l)
-      EXPECT_TRUE(lg.owns(lg.gid_of(l)));
+  for (const int p : {1, 6, 64}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const auto part = GetParam().make(g, p);
+    for (int r = 0; r < p; ++r) {
+      LocalGrid lg(part, r);
+      EXPECT_EQ(lg.owned(), part.count_of(r));
+      for (std::size_t l = 0; l < lg.total(); ++l)
+        EXPECT_EQ(lg.local_of(lg.gid_of(l)), l);
+      for (std::size_t l = 0; l < lg.owned(); ++l)
+        EXPECT_TRUE(lg.owns(lg.gid_of(l)));
+      // Every other gid of the grid, inside the rank's range or not, has
+      // no local index; so do ids past the grid.
+      std::set<std::uint64_t> mine;
+      for (std::size_t l = 0; l < lg.total(); ++l) mine.insert(lg.gid_of(l));
+      for (std::uint64_t gid = 0; gid < g.nodes() + 3; ++gid)
+        if (!mine.count(gid))
+          EXPECT_EQ(lg.local_of(gid), kNoLocal) << "rank " << r << " gid " << gid;
+    }
   }
 }
 

@@ -4,15 +4,20 @@
 // report — on every fixture, including runs with fault injection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "core/partitioner.hpp"
 #include "mode_compare.hpp"
 #include "pic/simulation.hpp"
 #include "runtime/parallel_engine.hpp"
+#include "sfc/hilbert.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
+#include "util/rng.hpp"
 
 namespace picpar {
 namespace {
@@ -159,6 +164,47 @@ TEST(ModeEquivalence, DeterminismAuditPassesInParallelMode) {
   p.analyze.audit_determinism = true;
   const auto par = run_mode(p, true);
   EXPECT_EQ(par.determinism_audit, 1);
+}
+
+TEST(ModeEquivalence, SharedSplitterSortAtP64) {
+  // distribute()'s sample sort runs once per call, by whichever rank reads
+  // the gathered samples first; here 64 rank threads race to it. Routing,
+  // balance and clocks must match the sequential run exactly.
+  constexpr int p = 64;
+  const mesh::GridDesc grid(32, 32);
+  const sfc::HilbertCurve curve(32, 32);
+  auto run_one = [&](bool parallel) {
+    std::vector<std::vector<std::uint64_t>> keys(p);
+    std::vector<std::uint64_t> sent(p);
+    std::vector<std::vector<std::uint64_t>> bounds(p);
+    Machine m(p, CostModel::cm5());
+    if (parallel) runtime::use_parallel(m, runtime::ParallelConfig{8});
+    const std::uint64_t sorts_before = core::splitter_sample_sorts();
+    const auto res = m.run([&](Comm& c) {
+      const auto r = static_cast<std::size_t>(c.rank());
+      Rng rng(r + 1);
+      particles::ParticleArray mine(-1.0, 1.0);
+      for (int i = 0; i < 8 + c.rank() % 11; ++i) {
+        particles::ParticleRec rec;
+        rec.x = rng.uniform(0.0, 8.0 + c.rank() % 24);
+        rec.y = rng.uniform(0.0, 32.0);
+        mine.push_back(rec);
+      }
+      core::ParticlePartitioner part(curve, grid);
+      part.assign_keys(c, mine);
+      sent[r] = part.distribute(c, mine).sent_particles;
+      keys[r].assign(mine.key.begin(), mine.key.end());
+      bounds[r] = part.rank_upper_bounds();
+    });
+    EXPECT_EQ(core::splitter_sample_sorts() - sorts_before, 1u);
+    return std::make_tuple(keys, sent, bounds, res);
+  };
+  const auto [seq_keys, seq_sent, seq_bounds, seq_res] = run_one(false);
+  const auto [par_keys, par_sent, par_bounds, par_res] = run_one(true);
+  EXPECT_EQ(seq_keys, par_keys);
+  EXPECT_EQ(seq_sent, par_sent);
+  EXPECT_EQ(seq_bounds, par_bounds);
+  picpar::testing::expect_identical(seq_res, par_res);
 }
 
 // Wildcard-receive stress: heavy any-source traffic whose virtual arrival

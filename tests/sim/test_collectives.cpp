@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <utility>
+#include <vector>
 
 #include "sim/comm.hpp"
 
@@ -125,6 +127,34 @@ TEST_P(Collectives, AllgathervWithEmptyBlocks) {
     EXPECT_EQ(offsets, expect_offsets);
     EXPECT_EQ(cat, expect);
   });
+}
+
+TEST_P(Collectives, AllgathervSharesOneObjectPerCall) {
+  auto m = machine();
+  const int n = p();
+  const auto np = static_cast<std::size_t>(n);
+  std::vector<std::shared_ptr<const Gathered<int>>> first(np), second(np);
+  int made = 0;  // ranks run one at a time on the sequential engine
+  m.run([&](Comm& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    first[r] = c.allgatherv_shared(std::vector<int>{c.rank()});
+    second[r] = c.allgatherv_shared(
+        std::vector<int>(static_cast<std::size_t>(c.rank() % 2), c.rank()));
+    const long sum = first[r]->derive<long>([&] {
+      ++made;
+      long t = 0;
+      for (const int v : first[r]->values()) t += v;
+      return t;
+    });
+    EXPECT_EQ(sum, static_cast<long>(n) * (n - 1) / 2);
+  });
+  for (std::size_t r = 0; r < np; ++r) {
+    EXPECT_EQ(first[r].get(), first[0].get()) << "rank " << r;
+    EXPECT_EQ(second[r].get(), second[0].get()) << "rank " << r;
+  }
+  EXPECT_NE(first[0].get(), second[0].get());
+  EXPECT_EQ(made, 1);
+  EXPECT_EQ(second[0]->values().size(), np / 2);
 }
 
 TEST_P(Collectives, ExscanSum) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -17,6 +18,8 @@
 
 #include "sim/comm.hpp"
 #include "sim/faults.hpp"
+#include "sim/held_set.hpp"
+#include "util/rng.hpp"
 
 namespace picpar::sim {
 namespace {
@@ -142,6 +145,68 @@ TEST(ScheduleIdentity, CrashAndMembershipAtP6) {
   EXPECT_EQ(res.epochs, 1);
   EXPECT_EQ(log.log.size(), 251U);
   EXPECT_EQ(log.hash(), 2079913854962087645ULL);
+}
+
+// ---- stall order ----------------------------------------------------------
+
+struct HeldKey {
+  double arrival = 0.0;
+  int src = -1;
+  std::uint64_t seq = 0;
+  bool dup = false;
+};
+
+/// The stall pick before the held set: the first rank, in ascending order,
+/// whose candidate has the minimal (arrival, src, seq, dup) key.
+int linear_stall_pick(const std::vector<std::optional<HeldKey>>& held) {
+  int best_rank = -1;
+  HeldKey best;
+  for (std::size_t r = 0; r < held.size(); ++r) {
+    if (!held[r]) continue;
+    const HeldKey& c = *held[r];
+    const bool wins =
+        best_rank < 0 || c.arrival < best.arrival ||
+        (c.arrival == best.arrival &&
+         (c.src < best.src ||
+          (c.src == best.src &&
+           (c.seq < best.seq ||
+            (c.seq == best.seq && (c.dup ? 1 : 0) < (best.dup ? 1 : 0))))));
+    if (wins) {
+      best = c;
+      best_rank = static_cast<int>(r);
+    }
+  }
+  return best_rank;
+}
+
+TEST(StallOrder, HeldSetPicksWhatTheLinearScanPicked) {
+  // Random holds, re-holds and releases over a handful of values per key
+  // field, so partial and full ties are common (-0.0 and 0.0 compare
+  // equal); after every step the set's minimum must be the scan's pick.
+  const double arrivals[] = {0.0, -0.0, 1e-6, 2e-6};
+  for (const int p : {1, 7, 64, 1024}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    Rng rng(static_cast<std::uint64_t>(p));
+    detail::HeldSet set(p);
+    std::vector<std::optional<HeldKey>> ref(static_cast<std::size_t>(p));
+    for (int step = 0; step < 20000; ++step) {
+      const auto r = static_cast<int>(rng.below(static_cast<std::uint64_t>(p)));
+      auto& slot = ref[static_cast<std::size_t>(r)];
+      if (rng.below(3) == 0) {
+        set.release(r);
+        slot.reset();
+      } else {
+        HeldKey k;
+        k.arrival = arrivals[rng.below(4)];
+        k.src = static_cast<int>(rng.below(4));
+        k.seq = rng.below(3);
+        k.dup = rng.below(2) == 1;
+        set.hold(r, k.arrival, k.src, k.seq, k.dup);
+        slot = k;
+      }
+      ASSERT_EQ(set.min_rank(), linear_stall_pick(ref)) << "step " << step;
+    }
+  }
 }
 
 // ---- fiber safety ---------------------------------------------------------
