@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   Table table({"variant", "P", "total (s)", "compute (s)", "overhead (s)"});
   table.set_title("Baselines across machine sizes");
   for (int p : {8, 32, 128}) {
-    auto params = bench::paper_params("irregular", 128, 64, n, p);
+    auto params = bench::paper_params("irregular_beam", 128, 64, n, p);
     params.iterations = iters;
 
     params.policy = "sar";
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   Table abl({"ablation", "setting", "total (s)", "overhead (s)"});
   abl.set_title("Design-choice ablations (P=32)");
   {
-    auto params = bench::paper_params("irregular", 128, 64, n, 32);
+    auto params = bench::paper_params("irregular_beam", 128, 64, n, 32);
     params.iterations = iters;
     for (const auto gd : {pic::GridDecomp::kCurve, pic::GridDecomp::kBlock}) {
       params.grid_decomp = gd;

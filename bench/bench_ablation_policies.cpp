@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     auto& row = table.row().add(policy);
     std::string redists;
     for (const double drift : drifts) {
-      auto params = bench::paper_params("irregular", 128, 64, n, *ranks);
+      auto params = bench::paper_params("irregular_beam", 128, 64, n, *ranks);
       params.iterations = iters;
       params.policy = policy;
       params.init.drift_ux = drift;

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
           std::to_string(*ranks) +
           " ranks; virtual-time columns must be identical in every row");
 
-  auto params = bench::paper_params("irregular", 128, 64, n, *ranks);
+  auto params = bench::paper_params("irregular_beam", 128, 64, n, *ranks);
   params.iterations = iters;
   params.policy = "sar";
   params.init.drift_ux = 0.12;

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   std::vector<sweep::Job> fault_jobs;
   for (const auto& level : levels) {
     for (const auto& policy : policies) {
-      auto params = bench::paper_params("irregular", 128, 64, n, *ranks);
+      auto params = bench::paper_params("irregular_beam", 128, 64, n, *ranks);
       params.iterations = iters;
       params.policy = policy;
       params.init.drift_ux = 0.12;
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   std::vector<sweep::Job> clean_jobs;
   for (const auto curve : curves) {
     for (const auto& policy : crash_policies) {
-      auto params = bench::paper_params("irregular", 128, 64, n, *ranks);
+      auto params = bench::paper_params("irregular_beam", 128, 64, n, *ranks);
       params.iterations = iters;
       params.policy = policy;
       params.curve = curve;

@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
     }
     group_sizes.push_back(policies.size());
     for (const auto& policy : policies) {
-      auto params = bench::paper_params("irregular", pr.nx, pr.ny, n, *ranks);
+      auto params =
+          bench::paper_params("irregular_beam", pr.nx, pr.ny, n, *ranks);
       params.iterations = iters;
       params.policy = policy;
       const std::string mesh_label =

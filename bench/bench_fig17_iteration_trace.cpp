@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     tasks.push_back([policy, n, iters, ranks = *ranks, stride = *stride,
                      trace = *trace_path, metrics = *metrics_path,
                      wall = *phase_wall] {
-      auto params = bench::paper_params("irregular", 128, 64, n, ranks);
+      auto params = bench::paper_params("irregular_beam", 128, 64, n, ranks);
       params.iterations = iters;
       params.policy = policy;
       if (policy == "sar") {

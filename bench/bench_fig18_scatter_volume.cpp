@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   for (const std::string& policy :
        {std::string("static"),
         "periodic:" + std::to_string(scale.full ? 50 : 10)}) {
-    auto params = bench::paper_params("irregular", 128, 64, n, *ranks);
+    auto params = bench::paper_params("irregular_beam", 128, 64, n, *ranks);
     params.iterations = iters;
     params.policy = policy;
     const auto r = pic::run_pic(params);

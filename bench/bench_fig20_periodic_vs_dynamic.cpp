@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   double best_periodic = 1e300;
   double sar_total = 0.0;
   for (const auto& policy : policies) {
-    auto params = bench::paper_params("irregular", 128, 64, n, *ranks);
+    auto params = bench::paper_params("irregular_beam", 128, 64, n, *ranks);
     params.iterations = iters;
     params.policy = policy;
     const auto r = pic::run_pic(params);

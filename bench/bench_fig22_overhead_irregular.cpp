@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
     const auto n = scale.particles(cfg.n);
     for (const auto curve : {sfc::CurveKind::kHilbert, sfc::CurveKind::kSnake}) {
       for (int p : {32, 64, 128}) {
-        auto params = bench::paper_params("irregular", cfg.nx, cfg.ny, n, p);
+        auto params =
+            bench::paper_params("irregular_beam", cfg.nx, cfg.ny, n, p);
         params.iterations = iters;
         params.curve = curve;
         const auto r = pic::run_pic(params);

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   Table t({"ranks", "seq_wall_s", "par_wall_s", "speedup", "identical"});
   t.set_title("parallel vs sequential wall-clock");
   for (const int ranks : {4, 16, 64}) {
-    auto params = bench::paper_params("irregular", 128, 64,
+    auto params = bench::paper_params("irregular_beam", 128, 64,
                                       scale.particles(32768), ranks);
     params.iterations = iters;
     params.policy = "sar";

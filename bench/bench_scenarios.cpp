@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
   for (const auto& name : scenario::scenario_names())
     for (const auto& curve : curves)
       for (const auto& balancer : balancers) {
-        auto params = bench::paper_params("uniform", 64, 32, n, *ranks);
-        params.scenario = name;
+        auto params = bench::paper_params(name, 64, 32, n, *ranks);
         params.iterations = iters;
         params.policy = "periodic:10";
         params.curve = sfc::parse_curve_kind(curve);

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
                       "irregular, mesh=128x64, particles=32768, p=" +
                           std::to_string(*ranks));
 
-  auto params = bench::paper_params("irregular", 128, 64,
+  auto params = bench::paper_params("irregular_beam", 128, 64,
                                     scale.particles(32768), *ranks);
   params.iterations = iters;
 

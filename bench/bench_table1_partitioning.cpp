@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
 
   // --- Grid partitioning + direct Eulerian (Gledhill & Storey) ---
   {
-    auto params = bench::paper_params("irregular", 128, 64, n, *ranks);
+    auto params = bench::paper_params("irregular_beam", 128, 64, n, *ranks);
     params.iterations = iters;
     const auto r = pic::run_eulerian(params);
     table.row()
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   // Particles balanced once, never moved; grid follows the particles is
   // approximated by a static independent run whose alignment decays.
   {
-    auto params = bench::paper_params("irregular", 128, 64, n, *ranks);
+    auto params = bench::paper_params("irregular_beam", 128, 64, n, *ranks);
     params.iterations = iters;
     params.policy = "static";
     const auto r = pic::run_pic(params);
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   // --- Independent partitioning + direct Lagrangian + dynamic alignment
   //     (the paper's proposal) ---
   {
-    auto params = bench::paper_params("irregular", 128, 64, n, *ranks);
+    auto params = bench::paper_params("irregular_beam", 128, 64, n, *ranks);
     params.iterations = iters;
     params.policy = "sar";
     const auto r = pic::run_pic(params);

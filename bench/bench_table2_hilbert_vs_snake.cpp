@@ -30,23 +30,23 @@ int main(int argc, char** argv) {
       {512, 256, 131072}};
   const int procs[] = {32, 64, 128};
 
-  Table table({"distribution", "mesh", "particles", "indexing", "P=32 (s)",
+  Table table({"scenario", "mesh", "particles", "indexing", "P=32 (s)",
                "P=64 (s)", "P=128 (s)"});
   table.set_title("Table 2: Hilbert vs snakelike, " + std::to_string(iters) +
                   " iterations");
 
-  for (const std::string& dist : {std::string("uniform"), std::string("irregular")}) {
+  for (const char* scenario : {"uniform", "irregular_beam"}) {
     for (const auto& cfg : configs) {
       const auto n = scale.particles(cfg.n);
       for (const auto curve :
            {sfc::CurveKind::kHilbert, sfc::CurveKind::kSnake}) {
         auto& row = table.row()
-                        .add(dist)
+                        .add(scenario)
                         .add(std::to_string(cfg.nx) + "x" + std::to_string(cfg.ny))
                         .add(static_cast<std::size_t>(n))
                         .add(sfc::curve_kind_name(curve));
         for (int p : procs) {
-          auto params = bench::paper_params(dist, cfg.nx, cfg.ny, n, p);
+          auto params = bench::paper_params(scenario, cfg.nx, cfg.ny, n, p);
           params.iterations = iters;
           params.curve = curve;
           params.policy = "sar";

@@ -49,22 +49,21 @@ int main(int argc, char** argv) {
   const std::vector<int> procs = *large ? std::vector<int>{1024, 2048, 4096}
                                         : std::vector<int>{32, 64, 128};
 
-  std::vector<std::string> headers = {"distribution", "mesh", "particles"};
+  std::vector<std::string> headers = {"scenario", "mesh", "particles"};
   for (const int p : procs) headers.push_back("P=" + std::to_string(p));
   Table table(headers);
   table.set_title("Table 3: efficiency, " + std::to_string(iters) +
                   " iterations");
 
-  for (const std::string& dist :
-       {std::string("uniform"), std::string("irregular")}) {
+  for (const char* scenario : {"uniform", "irregular_beam"}) {
     for (const auto& cfg : configs) {
       const auto n = scale.particles(cfg.n);
-      auto base = bench::paper_params(dist, cfg.nx, cfg.ny, n, 1);
+      auto base = bench::paper_params(scenario, cfg.nx, cfg.ny, n, 1);
       base.iterations = iters;
       const double t1 = serial_time(base);
 
       auto& row = table.row()
-                      .add(dist)
+                      .add(scenario)
                       .add(std::to_string(cfg.nx) + "x" + std::to_string(cfg.ny))
                       .add(static_cast<std::size_t>(n));
       for (int p : procs) {

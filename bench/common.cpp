@@ -17,13 +17,13 @@ Scale parse_scale(picpar::Cli& cli, int argc, const char* const* argv) {
   return s;
 }
 
-pic::PicParams paper_params(const std::string& dist, std::uint32_t nx,
+pic::PicParams paper_params(const std::string& scenario, std::uint32_t nx,
                             std::uint32_t ny, std::uint64_t particles,
                             int nranks) {
   pic::PicParams p;
   p.grid = mesh::GridDesc(nx, ny);
   p.nranks = nranks;
-  p.dist = particles::parse_distribution(dist);
+  p.scenario = scenario;
   p.init.total = particles;
   p.init.vth = 0.05;
   // A coherent drift (~0.14c) makes the Lagrangian particle subdomains

@@ -1,17 +1,12 @@
-// Checkpoint/restart: run a simulation, checkpoint the global particle
-// population, restart from the checkpoint and verify the populations agree
-// — the persistence workflow of a long production campaign.
-//
-// The checkpoint stores the *global* population; on restart, any machine
-// size can pick it up (the initial distribution re-partitions it), which
-// is exactly what the dynamic alignment machinery makes cheap.
-#include <cstdio>
+// Checkpoint/restart: evolve a particle population, checkpoint it to a
+// file, load the file back and verify the populations agree bit for bit —
+// the persistence round trip of a long production campaign.
 #include <filesystem>
 #include <iostream>
 
+#include "particles/init.hpp"
 #include "particles/io.hpp"
 #include "particles/pusher.hpp"
-#include "pic/simulation.hpp"
 #include "util/cli.hpp"
 
 using namespace picpar;
@@ -50,23 +45,6 @@ int main(int argc, char** argv) {
          restored.ux[i] == population.ux[i];
   std::cout << (ok ? "restart verified: populations are bit-identical\n"
                    : "ERROR: restored population differs!\n");
-
-  // Phase 3: hand the restored population to machines of different sizes —
-  // the Hilbert distribution aligns it to whatever mesh partitioning the
-  // new machine uses.
-  for (int ranks : {8, 32}) {
-    pic::PicParams params;
-    params.grid = grid;
-    params.nranks = ranks;
-    params.dist = particles::Distribution::kGaussian;
-    params.init = init;  // same generator => same population as phase 1
-    params.iterations = 20;
-    params.policy = "sar";
-    const auto r = pic::run_pic(params);
-    std::cout << "resumed on " << ranks << " ranks: " << params.iterations
-              << " iterations in " << r.total_seconds
-              << " modeled s, overhead " << r.overhead_seconds() << " s\n";
-  }
 
   std::filesystem::remove(*path);
   return ok ? 0 : 1;

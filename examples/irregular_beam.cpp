@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     pic::PicParams p;
     p.grid = mesh::GridDesc(128, 64);
     p.nranks = *ranks;
-    p.dist = particles::Distribution::kGaussian;
+    p.scenario = "irregular_beam";
     p.init.total = static_cast<std::uint64_t>(*particles);
     p.init.sigma_fraction = 0.06;
     p.init.drift_ux = 0.15;

@@ -20,8 +20,10 @@ int main(int argc, char** argv) {
   auto iters = cli.flag<int>("iters", 100, "iterations");
   auto policy = cli.flag<std::string>("policy", "sar",
                                       "static | periodic:K | sar");
-  auto dist = cli.flag<std::string>("dist", "irregular",
-                                    "uniform | irregular | two_stream | ring");
+  auto scenario = cli.flag<std::string>(
+      "scenario", "irregular_beam",
+      "uniform | irregular_beam | two_stream | weibel | beam_into_plasma | "
+      "moving_hotspot");
   auto curve = cli.flag<std::string>("curve", "hilbert",
                                      "hilbert | snake | morton | rowmajor");
   cli.parse(argc, argv);
@@ -29,7 +31,7 @@ int main(int argc, char** argv) {
   pic::PicParams params;
   params.grid = mesh::GridDesc(64, 32);
   params.nranks = *ranks;
-  params.dist = particles::parse_distribution(*dist);
+  params.scenario = *scenario;
   params.init.total = static_cast<std::uint64_t>(*particles);
   params.init.drift_ux = 0.1;
   params.init.drift_uy = 0.05;
@@ -41,8 +43,8 @@ int main(int argc, char** argv) {
   std::cout << "Running " << *iters << " iterations of a "
             << params.grid.nx << "x" << params.grid.ny << " PIC simulation, "
             << *particles << " particles on " << *ranks
-            << " simulated CM-5 nodes (" << *curve << " indexing, policy "
-            << *policy << ")...\n\n";
+            << " simulated CM-5 nodes (" << *scenario << ", " << *curve
+            << " indexing, policy " << *policy << ")...\n\n";
 
   const auto r = pic::run_pic(params);
 

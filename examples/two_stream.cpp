@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   pic::PicParams params;
   params.grid = mesh::GridDesc(64, 8);
   params.nranks = *ranks;
-  params.dist = particles::Distribution::kTwoStream;
+  params.scenario = "two_stream";
   params.init.total = static_cast<std::uint64_t>(*particles);
   params.init.vth = 0.01;
   params.init.omega_p = 0.25;

@@ -5,24 +5,6 @@
 
 namespace picpar::particles {
 
-const char* distribution_name(Distribution d) {
-  switch (d) {
-    case Distribution::kUniform: return "uniform";
-    case Distribution::kGaussian: return "gaussian";
-    case Distribution::kTwoStream: return "two_stream";
-    case Distribution::kRing: return "ring";
-  }
-  return "?";
-}
-
-Distribution parse_distribution(const std::string& name) {
-  if (name == "uniform") return Distribution::kUniform;
-  if (name == "gaussian" || name == "irregular") return Distribution::kGaussian;
-  if (name == "two_stream") return Distribution::kTwoStream;
-  if (name == "ring") return Distribution::kRing;
-  throw std::invalid_argument("unknown distribution: " + name);
-}
-
 double macro_charge(const mesh::GridDesc& grid, std::uint64_t total,
                     double mass, double omega_p) {
   if (total == 0) throw std::invalid_argument("macro_charge: total == 0");
@@ -60,14 +42,6 @@ ParticleArray generate(Distribution dist, const mesh::GridDesc& grid,
         r.x = rng.uniform(0.0, grid.lx);
         r.y = rng.uniform(0.0, grid.ly);
         break;
-      case Distribution::kRing: {
-        const double radius = 0.25 * std::min(grid.lx, grid.ly) *
-                              (1.0 + 0.2 * rng.normal());
-        const double theta = rng.uniform(0.0, 2.0 * M_PI);
-        r.x = grid.wrap_x(cx + radius * std::cos(theta));
-        r.y = grid.wrap_y(cy + radius * std::sin(theta));
-        break;
-      }
     }
     r.ux = params.drift_ux + params.vth * rng.normal();
     r.uy = params.drift_uy + params.vth * rng.normal();

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "mesh/grid.hpp"
 #include "particles/particle_array.hpp"
@@ -30,10 +29,9 @@ struct InitParams {
   std::uint64_t seed = 12345;
 };
 
-enum class Distribution { kUniform, kGaussian, kTwoStream, kRing };
-
-const char* distribution_name(Distribution d);
-Distribution parse_distribution(const std::string& name);
+/// The generator families behind the scenario library's uniform,
+/// irregular_beam and two_stream loadouts (src/scenario).
+enum class Distribution { kUniform, kGaussian, kTwoStream };
 
 /// Macro-particle charge magnitude that realizes plasma frequency omega_p
 /// at mean density total/(lx*ly):  q = omega_p * sqrt(m * lx * ly / total).

@@ -119,15 +119,12 @@ struct PicParams {
   mesh::GridDesc grid{128, 64};
   int nranks = 32;
 
-  particles::Distribution dist = particles::Distribution::kUniform;
   particles::InitParams init{};  ///< init.total must be set
 
-  /// Scenario name from the scenario library (src/scenario) — selects the
-  /// loadout, species table, field seed, driver, boundary and injector as a
-  /// bundle. Empty (the default) keeps the legacy path: `dist` chooses the
-  /// loadout and every hook stays disabled, byte-identical to builds
-  /// without the scenario subsystem. When set, `dist` is ignored.
-  std::string scenario;
+  /// Scenario name from the scenario library (src/scenario): the loadout,
+  /// species table, field seed, driver, boundary and injector as a bundle.
+  /// The default is the paper's uniform plasma; an unknown name throws.
+  std::string scenario = "uniform";
 
   sfc::CurveKind curve = sfc::CurveKind::kHilbert;
   GridDecomp grid_decomp = GridDecomp::kCurve;

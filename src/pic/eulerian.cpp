@@ -1,13 +1,11 @@
 #include "pic/eulerian.hpp"
 
-#include <algorithm>
-
 #include "core/ghost_exchange.hpp"
 #include "mesh/local_grid.hpp"
 #include "mesh/maxwell.hpp"
-#include "particles/interpolate.hpp"
 #include "particles/pusher.hpp"
-#include "sim/comm.hpp"
+#include "pic/baseline.hpp"
+#include "pic/kernels.hpp"
 
 namespace picpar::pic {
 
@@ -32,7 +30,8 @@ GridPartition make_partition(const PicParams& params) {
 
 std::vector<std::size_t> eulerian_particle_counts(const PicParams& params) {
   const auto part = make_partition(params);
-  const auto global = particles::generate(params.dist, params.grid, params.init);
+  const auto global = scenario::get_scenario(params.scenario)
+                          .loadout(params.grid, params.init);
   std::vector<std::size_t> counts(static_cast<std::size_t>(params.nranks), 0);
   for (std::size_t i = 0; i < global.size(); ++i) {
     const auto cell = params.grid.cell_of(global.x[i], global.y[i]);
@@ -42,41 +41,32 @@ std::vector<std::size_t> eulerian_particle_counts(const PicParams& params) {
 }
 
 PicResult run_eulerian(const PicParams& params) {
-  if (params.init.total == 0)
-    throw std::invalid_argument("run_eulerian: init.total must be > 0");
-
+  const scenario::Scenario& sc = baseline_scenario(params, "run_eulerian");
   const mesh::GridDesc grid = params.grid;
   const GridPartition part = make_partition(params);
-  const ParticleArray global =
-      particles::generate(params.dist, grid, params.init);
+  const ParticleArray global = sc.loadout(grid, params.init);
   const double dt =
       params.dt > 0.0 ? params.dt : mesh::MaxwellSolver::max_dt(grid);
   const double delta = params.machine.delta;
   const PhaseCosts& pc = params.costs;
-  const double inv_cell = 1.0 / (grid.dx() * grid.dy());
+  const scenario::DriverSpec* driver =
+      sc.driver.enabled ? &sc.driver : nullptr;
 
-  const auto iters_sz = static_cast<std::size_t>(std::max(params.iterations, 1));
-  std::vector<double> clock_end(
-      static_cast<std::size_t>(params.nranks) * iters_sz, 0.0);
-  std::vector<double> field_energy(static_cast<std::size_t>(params.nranks), 0.0);
-  std::vector<double> kinetic(static_cast<std::size_t>(params.nranks), 0.0);
-
-  auto program = [&](Comm& comm) {
+  return run_baseline(params, [&](Comm& comm, BaselineRank& out) {
     const int rank = comm.rank();
     LocalGrid lg(part, rank);
     FieldState f(lg);
+    scenario::apply_field_seed(sc.field_seed, grid, lg, f);
     mesh::MaxwellSolver maxwell(lg, dt);
     GhostExchange ghosts(lg, params.dedup);
 
     // Eulerian assignment: every rank filters the global population for
     // particles whose cell it owns (deterministic, no communication).
-    ParticleArray mine(global.charge(), global.mass());
+    ParticleArray mine(global.species());
     for (std::size_t i = 0; i < global.size(); ++i) {
       const auto cell = grid.cell_of(global.x[i], global.y[i]);
       if (part.owner(cell) == rank) mine.push_back(global.rec(i));
     }
-    const double q = mine.charge();
-    const double mass = mine.mass();
 
     for (int iter = 0; iter < params.iterations; ++iter) {
       // ---- Scatter ----
@@ -84,27 +74,7 @@ PicResult run_eulerian(const PicParams& params) {
       ghosts.begin_iteration();
       f.clear_sources();
       const std::size_t n = mine.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        const double gamma = mine.gamma(i);
-        const double qv = q * inv_cell;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          const auto l = lg.local_of(st.node[k]);
-          if (l != mesh::kNoLocal && l < lg.owned()) {
-            f.jx[l] += w * qv * mine.ux[i] / gamma;
-            f.jy[l] += w * qv * mine.uy[i] / gamma;
-            f.jz[l] += w * qv * mine.uz[i] / gamma;
-            f.rho[l] += w * qv;
-          } else {
-            double* slot = ghosts.deposit_slot(st.node[k]);
-            slot[0] += w * qv * mine.ux[i] / gamma;
-            slot[1] += w * qv * mine.uy[i] / gamma;
-            slot[2] += w * qv * mine.uz[i] / gamma;
-            slot[3] += w * qv;
-          }
-        }
-      }
+      deposit(grid, mine, lg, f, ghosts);
       comm.charge(static_cast<double>(4 * n) * pc.scatter_per_vertex * delta);
       ghosts.flush_scatter(comm, f);
 
@@ -119,33 +89,8 @@ PicResult run_eulerian(const PicParams& params) {
       // ---- Gather ----
       comm.set_phase(Phase::kGather);
       ghosts.fetch_fields(comm, f);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        // picpar-lint: allow(float-reduction-order) fixed 4-point stencil
-        particles::LocalFields lf;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          const auto l = lg.local_of(st.node[k]);
-          if (l != mesh::kNoLocal && l < lg.owned()) {
-            lf.ex += w * f.ex[l];
-            lf.ey += w * f.ey[l];
-            lf.ez += w * f.ez[l];
-            lf.bx += w * f.bx[l];
-            lf.by += w * f.by[l];
-            lf.bz += w * f.bz[l];
-          } else {
-            const double* s = ghosts.field_slot(st.node[k]);
-            lf.ex += w * s[0];
-            lf.ey += w * s[1];
-            lf.ez += w * s[2];
-            lf.bx += w * s[3];
-            lf.by += w * s[4];
-            lf.bz += w * s[5];
-          }
-        }
-        particles::boris_kick(q, mass, dt, lf, mine.ux[i], mine.uy[i],
-                              mine.uz[i]);
-      }
+      gather_kick(grid, dt, driver, static_cast<double>(iter) * dt, mine, lg,
+                  f, ghosts);
       comm.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 
       // ---- Push + migration ----
@@ -168,42 +113,12 @@ PicResult run_eulerian(const PicParams& params) {
       for (const auto& buf : arrived)
         for (const auto& r : buf) mine.push_back(r);
       comm.set_phase(Phase::kOther);
-
-      clock_end[static_cast<std::size_t>(rank) * iters_sz +
-                static_cast<std::size_t>(iter)] = comm.clock();
+      out.clock_end.push_back(comm.clock());
     }
 
-    field_energy[static_cast<std::size_t>(rank)] = f.energy(lg);
-    kinetic[static_cast<std::size_t>(rank)] = mine.kinetic_energy();
-  };
-
-  sim::Machine machine(params.nranks, params.machine);
-  auto run = machine.run(program);
-
-  PicResult result;
-  result.machine = std::move(run);
-  result.total_seconds = result.machine.makespan();
-  result.compute_seconds = result.machine.max_compute();
-  result.iters.resize(static_cast<std::size_t>(params.iterations));
-  double prev = 0.0;
-  for (int i = 0; i < params.iterations; ++i) {
-    double end = 0.0;
-    for (int r = 0; r < params.nranks; ++r)
-      end = std::max(end, clock_end[static_cast<std::size_t>(r) * iters_sz +
-                                    static_cast<std::size_t>(i)]);
-    auto& rec = result.iters[static_cast<std::size_t>(i)];
-    rec.iter = i;
-    rec.exec_seconds = end - prev;
-    rec.loop_seconds = rec.exec_seconds;
-    prev = end;
-  }
-  // Rank-order merge of per-rank partials: a fixed, mode-independent
-  // summation order by construction.
-  // picpar-lint: allow(float-reduction-order) rank-order merge
-  for (double e : field_energy) result.field_energy += e;
-  // picpar-lint: allow(float-reduction-order) rank-order merge
-  for (double k : kinetic) result.kinetic_energy += k;
-  return result;
+    out.field_energy = f.energy(lg);
+    out.kinetic_energy = mine.kinetic_energy();
+  });
 }
 
 }  // namespace picpar::pic

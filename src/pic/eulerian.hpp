@@ -16,7 +16,9 @@
 namespace picpar::pic {
 
 /// Run the Eulerian grid-partitioning baseline. policy/partitioner fields
-/// of `params` are ignored (assignment follows the grid, always).
+/// of `params` are ignored (assignment follows the grid, always). Throws
+/// std::invalid_argument for a scenario with an injector or an absorbing
+/// wall.
 PicResult run_eulerian(const PicParams& params);
 
 /// Per-rank particle counts after Eulerian assignment of the initial

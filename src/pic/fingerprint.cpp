@@ -32,7 +32,8 @@ namespace {
 /// invalidates cached results) without the serialized keys changing.
 /// v2: scenario subsystem (scenario name and partitioner.balancer joined
 /// the serialization; runs they affect must not hit v1 cache entries).
-constexpr int kCanonicalVersion = 2;
+/// v3: the scenario is the only workload path (the dist key is gone).
+constexpr int kCanonicalVersion = 3;
 
 void kv(std::string& out, const char* key, const std::string& v) {
   out += key;
@@ -93,7 +94,6 @@ std::string PicParams::canonical() const {
   kv(out, "grid.lx", grid.lx);
   kv(out, "grid.ly", grid.ly);
   kv(out, "nranks", nranks);
-  kv(out, "dist", particles::distribution_name(dist));
   kv(out, "scenario", scenario);
   kv(out, "init.total", init.total);
   kv(out, "init.vth", init.vth);

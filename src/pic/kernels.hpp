@@ -1,6 +1,7 @@
 // The per-particle kernels of one PIC iteration (DESIGN.md §18): deposit
 // of current and charge, field gather plus Boris kick, and the position
-// push. run_pic calls each once per rank and iteration.
+// push. run_pic calls each once per rank and iteration; the Section 3
+// baselines (eulerian.cpp, replicated.cpp) call deposit and gather_kick.
 //
 // Every kernel walks its particles in blocks of at most 64. Per block, a
 // branch-free pass over flat arrays does the square roots and divides that

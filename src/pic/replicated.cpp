@@ -1,63 +1,56 @@
 #include "pic/replicated.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "mesh/maxwell.hpp"
-#include "particles/interpolate.hpp"
 #include "particles/pusher.hpp"
-#include "sim/comm.hpp"
+#include "pic/baseline.hpp"
+#include "pic/kernels.hpp"
 
 namespace picpar::pic {
 
+using mesh::FieldState;
+using mesh::LocalGrid;
 using particles::ParticleArray;
 using sim::Comm;
 using sim::Phase;
 
 namespace {
 
-/// Colocated-curl helpers over the FULL replicated arrays, computing only
-/// global node ids in [b, e).
-struct FullMesh {
-  const mesh::GridDesc* g;
-  std::vector<double> ex, ey, ez, bx, by, bz, jx, jy, jz, rho;
-
-  explicit FullMesh(const mesh::GridDesc& grid) : g(&grid) {
-    const auto m = static_cast<std::size_t>(grid.nodes());
-    for (auto* v : {&ex, &ey, &ez, &bx, &by, &bz, &jx, &jy, &jz, &rho})
-      v->assign(m, 0.0);
+/// Colocated-curl updates over the full replicated fields, computing only
+/// node ids in [b, e). `lg` is the one-rank grid, so a local index is a
+/// global node id.
+void half_b(const LocalGrid& lg, FieldState& f, std::uint64_t b,
+            std::uint64_t e, double dt) {
+  const double i2dx = 0.5 / lg.grid().dx();
+  const double i2dy = 0.5 / lg.grid().dy();
+  for (std::uint64_t id = b; id < e; ++id) {
+    const auto E = lg.east(id), W = lg.west(id), N = lg.north(id),
+               S = lg.south(id);
+    const double cx = (f.ez[N] - f.ez[S]) * i2dy;
+    const double cy = -(f.ez[E] - f.ez[W]) * i2dx;
+    const double cz = (f.ey[E] - f.ey[W]) * i2dx - (f.ex[N] - f.ex[S]) * i2dy;
+    f.bx[id] -= 0.5 * dt * cx;
+    f.by[id] -= 0.5 * dt * cy;
+    f.bz[id] -= 0.5 * dt * cz;
   }
+}
 
-  void half_b(std::uint64_t b, std::uint64_t e, double dt) {
-    const double i2dx = 0.5 / g->dx();
-    const double i2dy = 0.5 / g->dy();
-    for (std::uint64_t id = b; id < e; ++id) {
-      const auto E = g->east(id), W = g->west(id), N = g->north(id),
-                 S = g->south(id);
-      const double cx = (ez[N] - ez[S]) * i2dy;
-      const double cy = -(ez[E] - ez[W]) * i2dx;
-      const double cz = (ey[E] - ey[W]) * i2dx - (ex[N] - ex[S]) * i2dy;
-      bx[id] -= 0.5 * dt * cx;
-      by[id] -= 0.5 * dt * cy;
-      bz[id] -= 0.5 * dt * cz;
-    }
+void step_e(const LocalGrid& lg, FieldState& f, std::uint64_t b,
+            std::uint64_t e, double dt) {
+  const double i2dx = 0.5 / lg.grid().dx();
+  const double i2dy = 0.5 / lg.grid().dy();
+  for (std::uint64_t id = b; id < e; ++id) {
+    const auto E = lg.east(id), W = lg.west(id), N = lg.north(id),
+               S = lg.south(id);
+    const double cx = (f.bz[N] - f.bz[S]) * i2dy;
+    const double cy = -(f.bz[E] - f.bz[W]) * i2dx;
+    const double cz = (f.by[E] - f.by[W]) * i2dx - (f.bx[N] - f.bx[S]) * i2dy;
+    f.ex[id] += dt * (cx - f.jx[id]);
+    f.ey[id] += dt * (cy - f.jy[id]);
+    f.ez[id] += dt * (cz - f.jz[id]);
   }
-
-  void step_e(std::uint64_t b, std::uint64_t e, double dt) {
-    const double i2dx = 0.5 / g->dx();
-    const double i2dy = 0.5 / g->dy();
-    for (std::uint64_t id = b; id < e; ++id) {
-      const auto E = g->east(id), W = g->west(id), N = g->north(id),
-                 S = g->south(id);
-      const double cx = (bz[N] - bz[S]) * i2dy;
-      const double cy = -(bz[E] - bz[W]) * i2dx;
-      const double cz = (by[E] - by[W]) * i2dx - (bx[N] - bx[S]) * i2dy;
-      ex[id] += dt * (cx - jx[id]);
-      ey[id] += dt * (cy - jy[id]);
-      ez[id] += dt * (cz - jz[id]);
-    }
-  }
-};
+}
 
 /// Element-wise global sum of several full arrays (binomial allreduce).
 void global_sum(Comm& comm, std::vector<std::vector<double>*> arrays) {
@@ -103,31 +96,29 @@ void global_concat(Comm& comm, std::uint64_t b, std::uint64_t e,
 }  // namespace
 
 PicResult run_replicated(const PicParams& params) {
-  if (params.init.total == 0)
-    throw std::invalid_argument("run_replicated: init.total must be > 0");
-
+  const scenario::Scenario& sc = baseline_scenario(params, "run_replicated");
   const mesh::GridDesc grid = params.grid;
-  const ParticleArray global =
-      particles::generate(params.dist, grid, params.init);
+  const ParticleArray global = sc.loadout(grid, params.init);
   const double dt =
       params.dt > 0.0 ? params.dt : mesh::MaxwellSolver::max_dt(grid);
   const double delta = params.machine.delta;
   const PhaseCosts& pc = params.costs;
-  const double inv_cell = 1.0 / (grid.dx() * grid.dy());
   const std::uint64_t m = grid.nodes();
+  const scenario::DriverSpec* driver =
+      sc.driver.enabled ? &sc.driver : nullptr;
+  // The whole mesh as one rank's subdomain: owned nodes in gid order, no
+  // ghosts. Read-only, so every rank shares it.
+  const mesh::GridPartition whole = mesh::GridPartition::block(grid, 1, 1);
+  const LocalGrid lg(whole, 0);
 
-  std::vector<double> clock_end(
-      static_cast<std::size_t>(params.nranks) *
-          static_cast<std::size_t>(std::max(params.iterations, 1)),
-      0.0);
-  std::vector<double> field_energy(static_cast<std::size_t>(params.nranks), 0.0);
-  std::vector<double> kinetic(static_cast<std::size_t>(params.nranks), 0.0);
-
-  auto program = [&](Comm& comm) {
+  return run_baseline(params, [&](Comm& comm, BaselineRank& out) {
     const int rank = comm.rank();
     const int p = comm.size();
 
-    FullMesh f(grid);
+    FieldState f(lg);
+    scenario::apply_field_seed(sc.field_seed, grid, lg, f);
+    // Every stencil vertex is owned, so the kernels never touch it.
+    core::GhostExchange no_ghosts(lg, core::DedupPolicy::kHash);
     // Field-solve chunk boundaries (contiguous node-id ranges).
     std::vector<std::uint64_t> bounds(static_cast<std::size_t>(p) + 1);
     for (int r = 0; r <= p; ++r)
@@ -137,7 +128,7 @@ PicResult run_replicated(const PicParams& params) {
     const std::uint64_t ce = bounds[static_cast<std::size_t>(rank) + 1];
 
     // Lagrangian assignment: equal contiguous slices, fixed forever.
-    ParticleArray mine(global.charge(), global.mass());
+    ParticleArray mine(global.species());
     {
       const auto total = static_cast<std::uint64_t>(global.size());
       const std::uint64_t b = static_cast<std::uint64_t>(rank) * total /
@@ -148,64 +139,32 @@ PicResult run_replicated(const PicParams& params) {
       for (std::uint64_t i = b; i < e; ++i)
         mine.push_back(global.rec(static_cast<std::size_t>(i)));
     }
-    const double q = mine.charge();
-    const double mass = mine.mass();
 
     for (int iter = 0; iter < params.iterations; ++iter) {
       // ---- Scatter: local deposition + global element-wise sum ----
       comm.set_phase(Phase::kScatter);
-      std::fill(f.jx.begin(), f.jx.end(), 0.0);
-      std::fill(f.jy.begin(), f.jy.end(), 0.0);
-      std::fill(f.jz.begin(), f.jz.end(), 0.0);
-      std::fill(f.rho.begin(), f.rho.end(), 0.0);
+      f.clear_sources();
       const std::size_t n = mine.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        const double gamma = mine.gamma(i);
-        const double qv = q * inv_cell;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          const auto id = static_cast<std::size_t>(st.node[k]);
-          f.jx[id] += w * qv * mine.ux[i] / gamma;
-          f.jy[id] += w * qv * mine.uy[i] / gamma;
-          f.jz[id] += w * qv * mine.uz[i] / gamma;
-          f.rho[id] += w * qv;
-        }
-      }
+      deposit(grid, mine, lg, f, no_ghosts);
       comm.charge(static_cast<double>(4 * n) * pc.scatter_per_vertex * delta);
       global_sum(comm, {&f.jx, &f.jy, &f.jz, &f.rho});
 
       // ---- Field solve: chunk update + global concatenation ----
       comm.set_phase(Phase::kFieldSolve);
       if (params.solver == FieldSolveKind::kMaxwell) {
-        f.half_b(cb, ce, dt);
+        half_b(lg, f, cb, ce, dt);
         global_concat(comm, cb, ce, bounds, {&f.bx, &f.by, &f.bz});
-        f.step_e(cb, ce, dt);
+        step_e(lg, f, cb, ce, dt);
         global_concat(comm, cb, ce, bounds, {&f.ex, &f.ey, &f.ez});
-        f.half_b(cb, ce, dt);
+        half_b(lg, f, cb, ce, dt);
         global_concat(comm, cb, ce, bounds, {&f.bx, &f.by, &f.bz});
         comm.charge(static_cast<double>(ce - cb) * pc.field_per_node * delta);
       }
 
       // ---- Gather + push: purely local ----
       comm.set_phase(Phase::kGather);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto st = particles::cic_stencil(grid, mine.x[i], mine.y[i]);
-        // picpar-lint: allow(float-reduction-order) fixed 4-point stencil
-        particles::LocalFields lf;
-        for (int k = 0; k < 4; ++k) {
-          const double w = st.weight[k];
-          const auto id = static_cast<std::size_t>(st.node[k]);
-          lf.ex += w * f.ex[id];
-          lf.ey += w * f.ey[id];
-          lf.ez += w * f.ez[id];
-          lf.bx += w * f.bx[id];
-          lf.by += w * f.by[id];
-          lf.bz += w * f.bz[id];
-        }
-        particles::boris_kick(q, mass, dt, lf, mine.ux[i], mine.uy[i],
-                              mine.uz[i]);
-      }
+      gather_kick(grid, dt, driver, static_cast<double>(iter) * dt, mine, lg,
+                  f, no_ghosts);
       comm.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 
       comm.set_phase(Phase::kPush);
@@ -213,51 +172,13 @@ PicResult run_replicated(const PicParams& params) {
         particles::advance_position(grid, mine, i, dt);
       comm.charge(static_cast<double>(n) * pc.push_per_particle * delta);
       comm.set_phase(Phase::kOther);
-
-      clock_end[static_cast<std::size_t>(rank) *
-                    static_cast<std::size_t>(std::max(params.iterations, 1)) +
-                static_cast<std::size_t>(iter)] = comm.clock();
+      out.clock_end.push_back(comm.clock());
     }
 
-    // Replicated fields: charge the energy to rank 0 only.
-    if (rank == 0) {
-      // picpar-lint: allow(float-reduction-order) fixed node-index sum
-      double e = 0.0;
-      for (std::uint64_t id = 0; id < m; ++id)
-        e += f.ex[id] * f.ex[id] + f.ey[id] * f.ey[id] + f.ez[id] * f.ez[id] +
-             f.bx[id] * f.bx[id] + f.by[id] * f.by[id] + f.bz[id] * f.bz[id];
-      field_energy[0] = 0.5 * e * grid.dx() * grid.dy();
-    }
-    kinetic[static_cast<std::size_t>(rank)] = mine.kinetic_energy();
-  };
-
-  sim::Machine machine(params.nranks, params.machine);
-  auto run = machine.run(program);
-
-  PicResult result;
-  result.machine = std::move(run);
-  result.total_seconds = result.machine.makespan();
-  result.compute_seconds = result.machine.max_compute();
-  result.iters.resize(static_cast<std::size_t>(params.iterations));
-  double prev = 0.0;
-  const auto stride =
-      static_cast<std::size_t>(std::max(params.iterations, 1));
-  for (int i = 0; i < params.iterations; ++i) {
-    double end = 0.0;
-    for (int r = 0; r < params.nranks; ++r)
-      end = std::max(end, clock_end[static_cast<std::size_t>(r) * stride +
-                                    static_cast<std::size_t>(i)]);
-    auto& rec = result.iters[static_cast<std::size_t>(i)];
-    rec.iter = i;
-    rec.exec_seconds = end - prev;
-    rec.loop_seconds = rec.exec_seconds;
-    prev = end;
-  }
-  // picpar-lint: allow(float-reduction-order) rank-order merge
-  for (double e : field_energy) result.field_energy += e;
-  // picpar-lint: allow(float-reduction-order) rank-order merge
-  for (double k : kinetic) result.kinetic_energy += k;
-  return result;
+    // Replicated fields: count the field energy on rank 0 only.
+    if (rank == 0) out.field_energy = f.energy(lg);
+    out.kinetic_energy = mine.kinetic_energy();
+  });
 }
 
 }  // namespace picpar::pic

@@ -14,10 +14,12 @@
 
 namespace picpar::pic {
 
-/// Run the replicated-grid baseline. Uses grid, nranks, dist, init, solver
-/// (kMaxwell/kNone), iterations, dt, costs and machine from `params`;
-/// partitioning/policy fields are ignored (particles stay on their initial
-/// rank forever, grid is replicated).
+/// Run the replicated-grid baseline. Uses grid, nranks, scenario, init,
+/// solver (kMaxwell/kNone), iterations, dt, costs and machine from
+/// `params`; partitioning/policy fields are ignored (particles stay on
+/// their initial rank forever, grid is replicated). Throws
+/// std::invalid_argument for a scenario with an injector or an absorbing
+/// wall.
 PicResult run_replicated(const PicParams& params);
 
 }  // namespace picpar::pic

@@ -140,7 +140,6 @@ struct RankOutput {
   std::size_t mem_machine_bytes = 0;  ///< sparse transport tables
   std::size_t mem_exchange_bytes = 0;  ///< ghost tables + staged messages
   std::size_t mem_sort_bytes = 0;      ///< partitioner sort scratch
-  std::size_t mem_peak_bytes = 0;      ///< legacy ghost+sort peak
   std::size_t transport_peers = 0;     ///< distinct peers with transport state
 };
 
@@ -294,22 +293,13 @@ PicResult run_pic(const PicParams& params) {
       std::make_shared<const sfc::IndexCache>(*curve, grid.nx, grid.ny);
   const sfc::IndexCache& key_cache = *key_table;
 
-  // Scenario resolution: empty name keeps the legacy path (dist-selected
-  // loadout, every hook disabled — byte-identical to builds without the
-  // scenario subsystem). Unknown names throw before any work happens.
-  const scenario::Scenario* sc =
-      params.scenario.empty() ? nullptr
-                              : &scenario::get_scenario(params.scenario);
-  const bool inject_on = sc != nullptr && sc->injector.enabled;
-  const bool absorb_x =
-      sc != nullptr && sc->boundary == scenario::Boundary::kAbsorbX;
-  const bool driver_on = sc != nullptr && sc->driver.enabled;
-  const bool seed_on = sc != nullptr && sc->field_seed.enabled;
+  // Unknown scenario names throw before any work happens.
+  const scenario::Scenario& sc = scenario::get_scenario(params.scenario);
+  const bool inject_on = sc.injector.enabled;
+  const bool absorb_x = sc.boundary == scenario::Boundary::kAbsorbX;
 
   // The global particle population; every rank slices it identically.
-  const ParticleArray global =
-      sc != nullptr ? sc->loadout(grid, params.init)
-                    : particles::generate(params.dist, grid, params.init);
+  const ParticleArray global = sc.loadout(grid, params.init);
   const double dt =
       params.dt > 0.0 ? params.dt : mesh::MaxwellSolver::max_dt(grid);
 
@@ -356,7 +346,6 @@ PicResult run_pic(const PicParams& params) {
     int energy_owner_world = 0;  ///< world rank of the current group rank 0
     double pending_crash_vtime = std::numeric_limits<double>::infinity();
     bool just_recovered = false;
-    std::size_t mem_peak = 0;
     // Per-subsystem peaks behind the mem.* budget breakdown: transport
     // tables inside the machine, ghost-exchange tables, sort scratch. All
     // three are deterministic functions of the rank's history, so the marks
@@ -424,7 +413,7 @@ PicResult run_pic(const PicParams& params) {
       const int p = c.size();
       dom.emplace(params, partitions.get(params, *curve, p), *curve,
                   key_table, dt, rank);
-      if (seed_on) scenario::apply_field_seed(sc->field_seed, grid, dom->lg, dom->f);
+      scenario::apply_field_seed(sc.field_seed, grid, dom->lg, dom->f);
       policy = core::make_policy(params.policy);
       out.iters.clear();
 
@@ -487,7 +476,7 @@ PicResult run_pic(const PicParams& params) {
 
       dom.emplace(params, partitions.get(params, *curve, p), *curve,
                   key_table, dt, rank);
-      if (seed_on) scenario::apply_field_seed(sc->field_seed, grid, dom->lg, dom->f);
+      scenario::apply_field_seed(sc.field_seed, grid, dom->lg, dom->f);
       policy = core::make_policy(params.policy);
       ckpt_valid = false;
       energy_owner_world = view.survivors.empty() ? world : view.survivors[0];
@@ -599,7 +588,7 @@ PicResult run_pic(const PicParams& params) {
       // unsorts between redistributions as the push updates keys in place.
       if (inject_on) {
         const auto batch =
-            scenario::injector_batch(*sc, grid, params.init, iter);
+            scenario::injector_batch(sc, grid, params.init, iter);
         const std::uint64_t stride = mine.key_stride();
         for (const auto& src : batch) {
           auto r = src;
@@ -663,7 +652,7 @@ PicResult run_pic(const PicParams& params) {
       // ---- Gather phase ----
       c.set_phase(Phase::kGather);
       ghosts.fetch_fields(c, f);
-      gather_kick(grid, dt, driver_on ? &sc->driver : nullptr,
+      gather_kick(grid, dt, sc.driver.enabled ? &sc.driver : nullptr,
                   static_cast<double>(iter) * dt, mine, lg, f, ghosts);
       c.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 
@@ -672,8 +661,7 @@ PicResult run_pic(const PicParams& params) {
       rec.absorbed = push(grid, dt, absorb_x, key_cache, mine);
       c.charge(static_cast<double>(n) * pc.push_per_particle * delta);
       // Absorption shrinks the conservation reference; the lost count is
-      // agreed collectively (scenario runs only — the legacy path never
-      // executes this).
+      // agreed collectively.
       if (absorb_x && vp.check_every > 0) {
         const auto lost = c.allreduce_sum<std::uint64_t>(rec.absorbed);
         checker.set_reference_count(checker.reference_count() - lost);
@@ -776,10 +764,6 @@ PicResult run_pic(const PicParams& params) {
       rec.clock_end = c.clock();
       out.iters.push_back(rec);
 
-      // Memory-budget gauge: peak resident bytes pinned by the ghost
-      // tables and the sort/redistribution scratch on this rank.
-      mem_peak = std::max(
-          mem_peak, ghosts.memory_bytes() + dom->partitioner.scratch_bytes());
       mem_machine = std::max(mem_machine, c.memory_bytes());
       mem_exchange = std::max(mem_exchange, ghosts.memory_bytes());
       mem_sort = std::max(mem_sort, dom->partitioner.scratch_bytes());
@@ -837,8 +821,6 @@ PicResult run_pic(const PicParams& params) {
     for (std::size_t l = 0; l < dom->lg.owned(); ++l)
       charge_sum += dom->f.rho[l];
     out.total_charge = charge_sum * grid.dx() * grid.dy();
-    if (mem_peak > 0)
-      comm.mark(trace::kMarkMemPeak, -1, static_cast<double>(mem_peak));
     if (mem_machine > 0)
       comm.mark(trace::kMarkMemMachine, -1, static_cast<double>(mem_machine));
     if (mem_exchange > 0)
@@ -849,7 +831,6 @@ PicResult run_pic(const PicParams& params) {
     out.mem_machine_bytes = mem_machine;
     out.mem_exchange_bytes = mem_exchange;
     out.mem_sort_bytes = mem_sort;
-    out.mem_peak_bytes = mem_peak;
     out.transport_peers = comm.transport_peers();
   };
 
@@ -1072,14 +1053,13 @@ PicResult run_pic(const PicParams& params) {
     std::ofstream f(mr, std::ios::binary | std::ios::trunc);
     if (!f)
       throw std::runtime_error("mem report: cannot open " + std::string(mr));
-    f << "rank,alive,machine_bytes,exchange_bytes,sort_bytes,peak_bytes,"
+    f << "rank,alive,machine_bytes,exchange_bytes,sort_bytes,"
          "transport_peers\n";
     for (int r = 0; r < params.nranks; ++r) {
       const auto& o = outputs[static_cast<std::size_t>(r)];
       f << r << ',' << static_cast<int>(alive[static_cast<std::size_t>(r)])
         << ',' << o.mem_machine_bytes << ',' << o.mem_exchange_bytes << ','
-        << o.mem_sort_bytes << ',' << o.mem_peak_bytes << ','
-        << o.transport_peers << '\n';
+        << o.mem_sort_bytes << ',' << o.transport_peers << '\n';
     }
   }
   return result;

@@ -195,8 +195,12 @@ const Scenario* find_scenario(const std::string& name) {
 
 const Scenario& get_scenario(const std::string& name) {
   const Scenario* s = find_scenario(name);
-  if (s == nullptr)
-    throw std::invalid_argument("unknown scenario: " + name);
+  if (s == nullptr) {
+    std::string known;
+    for (const auto& r : registry()) known += " " + r.name;
+    throw std::invalid_argument("unknown scenario '" + name +
+                                "'; known:" + known);
+  }
   return *s;
 }
 

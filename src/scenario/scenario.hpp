@@ -103,7 +103,8 @@ struct Scenario {
 /// Look up a scenario by name; nullptr when unknown.
 const Scenario* find_scenario(const std::string& name);
 
-/// Like find_scenario but throws std::invalid_argument on unknown names.
+/// Like find_scenario but throws std::invalid_argument, listing the
+/// registry names, on unknown names.
 const Scenario& get_scenario(const std::string& name);
 
 /// Registry names in registration order.

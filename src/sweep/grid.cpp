@@ -6,7 +6,6 @@
 
 #include "core/balancer.hpp"
 #include "core/policy.hpp"
-#include "particles/init.hpp"
 #include "scenario/scenario.hpp"
 #include "sfc/curve.hpp"
 
@@ -123,29 +122,6 @@ pic::PicParams paper_base(std::uint32_t nx, std::uint32_t ny) {
   return p;
 }
 
-/// Scenario axis. Legacy distribution names (uniform, two_stream, gaussian,
-/// irregular, ring) keep the pre-scenario path — `dist` set, `scenario`
-/// empty — so grid points written before the scenario library expand to the
-/// exact same PicParams (and cache identity) as before. "irregular_beam" is
-/// the library's name for the same gaussian blob and maps onto it. The
-/// remaining library scenarios (weibel, beam_into_plasma, moving_hotspot)
-/// select the scenario path; `dist` is ignored for them.
-void apply_scenario(pic::PicParams& p, const std::string& name) {
-  if (name == "irregular_beam") {
-    p.dist = particles::Distribution::kGaussian;
-    return;
-  }
-  try {
-    p.dist = particles::parse_distribution(name);
-    return;
-  } catch (const std::invalid_argument&) {
-    // Not a distribution name; fall through to the scenario registry.
-  }
-  if (scenario::find_scenario(name) == nullptr)
-    throw std::invalid_argument("unknown scenario: " + name);
-  p.scenario = name;
-}
-
 /// Policy axis: "decision" or "decision+balancer" (e.g. "sar+eulerian").
 /// The decision half picks *when* redistribution fires (core::make_policy);
 /// the optional balancer half picks *where* the rank bounds land
@@ -170,7 +146,7 @@ std::vector<GridJob> expand_grid(const SweepGrid& grid) {
                grid.particles.size() * grid.ranks.size() * grid.curve.size() *
                grid.policy.size() * grid.seed.size() *
                grid.iterations.size());
-  for (const auto& scenario : grid.scenario)
+  for (const auto& name : grid.scenario)
     for (const auto& mesh_spec : grid.mesh)
       for (const auto particles : grid.particles)
         for (const auto ranks : grid.ranks)
@@ -185,7 +161,7 @@ std::vector<GridJob> expand_grid(const SweepGrid& grid) {
                   GridJob j;
                   j.params = paper_base(nx, ny);
                   try {
-                    apply_scenario(j.params, scenario);
+                    j.params.scenario = scenario::get_scenario(name).name;
                     j.params.curve = sfc::parse_curve_kind(curve);
                     apply_policy(j.params, policy);
                   } catch (const std::exception& e) {
@@ -195,7 +171,7 @@ std::vector<GridJob> expand_grid(const SweepGrid& grid) {
                   j.params.init.total = particles;
                   j.params.init.seed = seed;
                   j.params.iterations = iterations;
-                  j.label = scenario + "/" + mesh_spec + "/p" +
+                  j.label = name + "/" + mesh_spec + "/p" +
                             std::to_string(particles) + "/r" +
                             std::to_string(ranks) + "/" + curve + "/" +
                             policy + "/s" + std::to_string(seed) + "/i" +

@@ -31,8 +31,8 @@ namespace picpar::sweep {
 
 /// One parsed grid: every axis non-empty (defaults applied at parse time).
 struct SweepGrid {
-  /// Distribution names (uniform, irregular, ...) or scenario-library
-  /// names (weibel, beam_into_plasma, moving_hotspot); see src/scenario.
+  /// Scenario-library names (uniform, irregular_beam, weibel, ...); see
+  /// src/scenario.
   std::vector<std::string> scenario{"uniform"};
   std::vector<std::string> mesh{"128x64"};    ///< "NXxNY" grid sizes
   std::vector<std::uint64_t> particles{20000};

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "particles/init.hpp"
 #include "pic/simulation.hpp"
 #include "sfc/curve.hpp"
 #include "sweep/cache.hpp"
@@ -140,13 +139,7 @@ const Column kColumns[] = {
        if (bal.empty() || bal == "lagrange") return o.params.policy;
        return o.params.policy + "+" + bal;
      }},
-    {"scenario",
-     [](const Outcome& o) {
-       // Scenario-library runs carry their name; legacy runs are named by
-       // the distribution the dist field selects.
-       if (!o.params.scenario.empty()) return o.params.scenario;
-       return std::string(particles::distribution_name(o.params.dist));
-     }},
+    {"scenario", [](const Outcome& o) { return o.params.scenario; }},
     {"curve",
      [](const Outcome& o) {
        return std::string(sfc::curve_kind_name(o.params.curve));

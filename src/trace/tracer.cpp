@@ -246,7 +246,6 @@ void Tracer::build_metrics() {
   // byte-identical to one produced before crash support existed.
   std::uint64_t crashes = 0, detections = 0, epochs = 0;
   double mttr = 0.0, lost = 0.0, restored = 0.0, recoveries = 0.0;
-  double mem_peak = 0.0;
   double mem_machine = 0.0, mem_exchange = 0.0, mem_sort = 0.0;
   for (const Mark& m : data_.marks) {
     if (m.name == kMarkTransportRetry) metrics_.add("transport.retries");
@@ -265,7 +264,6 @@ void Tracer::build_metrics() {
     }
     if (m.name == kMarkCrashLost) lost += m.value;
     if (m.name == kMarkCrashRestored) restored += m.value;
-    if (m.name == kMarkMemPeak) mem_peak = std::max(mem_peak, m.value);
     if (m.name == kMarkMemMachine)
       mem_machine = std::max(mem_machine, m.value);
     if (m.name == kMarkMemExchange)
@@ -282,10 +280,8 @@ void Tracer::build_metrics() {
     metrics_.set("recovery.lost_particles", lost);
     metrics_.set("recovery.restored_particles", restored);
   }
-  if (mem_peak > 0.0) metrics_.set("mem.peak_bytes", mem_peak);
   // Per-subsystem memory budget: gauge = max over ranks of each rank's
-  // per-run peak, same folding rule as mem.peak_bytes. Absent from runs
-  // whose driver predates the breakdown, so old snapshots stay identical.
+  // per-run peak. Absent from runs whose driver emits no memory marks.
   if (mem_machine > 0.0) metrics_.set("mem.machine_bytes", mem_machine);
   if (mem_exchange > 0.0) metrics_.set("mem.exchange_bytes", mem_exchange);
   if (mem_sort > 0.0) metrics_.set("mem.sort_bytes", mem_sort);

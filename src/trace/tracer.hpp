@@ -58,8 +58,6 @@ inline constexpr const char* kMarkCrashLost =
     "pic.crash_lost";  ///< rank 0, value = particles lost to the crash
 inline constexpr const char* kMarkCrashRestored =
     "pic.crash_restored";  ///< rank 0, value = particles restored from ckpt
-inline constexpr const char* kMarkMemPeak =
-    "mem.peak_bytes";  ///< every rank, value = peak ghost+sort bytes
 // Per-subsystem memory-budget breakdown (every rank, per-run peak bytes).
 // All three are deterministic functions of the rank's event history, so the
 // derived gauges stay byte-identical across execution modes.

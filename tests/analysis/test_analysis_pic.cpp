@@ -19,7 +19,7 @@ PicParams tiny_params() {
   PicParams p;
   p.grid = mesh::GridDesc(24, 12);
   p.nranks = 6;
-  p.dist = particles::Distribution::kGaussian;
+  p.scenario = "irregular_beam";
   p.init.total = 1024;
   p.init.drift_ux = 0.1;
   p.iterations = 8;

@@ -44,7 +44,7 @@ TEST(Init, DifferentSeedsDiffer) {
 
 TEST(Init, AllPositionsInsideDomain) {
   for (auto d : {Distribution::kUniform, Distribution::kGaussian,
-                 Distribution::kTwoStream, Distribution::kRing}) {
+                 Distribution::kTwoStream}) {
     const auto p = generate(d, grid(), base(2000));
     for (std::size_t i = 0; i < p.size(); ++i) {
       EXPECT_GE(p.x[i], 0.0);
@@ -101,18 +101,6 @@ TEST(Init, TwoStreamHasCounterPropagatingBeams) {
   EXPECT_LT(odd / 500.0, -0.1);
 }
 
-TEST(Init, RingAvoidsCenter) {
-  auto params = base(5000);
-  params.vth = 0.0;
-  const auto p = generate(Distribution::kRing, grid(), params);
-  std::size_t near_center = 0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    const double r = std::hypot(p.x[i] - 32.0, p.y[i] - 32.0);
-    if (r < 4.0) ++near_center;
-  }
-  EXPECT_LT(near_center, p.size() / 50);
-}
-
 TEST(Init, MacroChargeRealizesPlasmaFrequency) {
   const auto g = grid();
   const std::uint64_t n = 4096;
@@ -135,20 +123,6 @@ TEST(Init, OmegaPZeroKeepsExplicitCharge) {
   const auto p = generate(Distribution::kUniform, grid(), params, -7.5, 2.0);
   EXPECT_DOUBLE_EQ(p.charge(), -7.5);
   EXPECT_DOUBLE_EQ(p.mass(), 2.0);
-}
-
-TEST(Init, ParseNames) {
-  EXPECT_EQ(parse_distribution("uniform"), Distribution::kUniform);
-  EXPECT_EQ(parse_distribution("gaussian"), Distribution::kGaussian);
-  EXPECT_EQ(parse_distribution("irregular"), Distribution::kGaussian);
-  EXPECT_EQ(parse_distribution("two_stream"), Distribution::kTwoStream);
-  EXPECT_EQ(parse_distribution("ring"), Distribution::kRing);
-  EXPECT_THROW(parse_distribution("blob"), std::invalid_argument);
-}
-
-TEST(Init, DistributionNamesRoundTrip) {
-  EXPECT_STREQ(distribution_name(Distribution::kUniform), "uniform");
-  EXPECT_STREQ(distribution_name(Distribution::kGaussian), "gaussian");
 }
 
 TEST(Init, MacroChargeRejectsZeroTotal) {

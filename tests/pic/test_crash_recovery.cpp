@@ -49,7 +49,7 @@ PicParams base_params() {
   PicParams p;
   p.grid = mesh::GridDesc(32, 16);
   p.nranks = 8;
-  p.dist = particles::Distribution::kGaussian;
+  p.scenario = "irregular_beam";
   p.init.total = 2048;
   p.init.drift_ux = 0.12;
   p.init.drift_uy = 0.07;
@@ -220,7 +220,7 @@ TEST_F(CrashRecovery, MetricsReportRecoveryAndMemoryPeak) {
   EXPECT_NE(r.metrics_json.find("recovery.restored_particles"),
             std::string::npos);
   EXPECT_NE(r.metrics_json.find("fault.crashes"), std::string::npos);
-  EXPECT_NE(r.metrics_json.find("mem.peak_bytes"), std::string::npos);
+  EXPECT_NE(r.metrics_json.find("mem.exchange_bytes"), std::string::npos);
 }
 
 TEST_F(CrashRecovery, CrashFreeMetricsOmitRecoverySeries) {

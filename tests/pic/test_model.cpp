@@ -82,7 +82,7 @@ TEST(Section4Model, SimulationRespectsWorstCaseBound) {
   PicParams p;
   p.grid = mesh::GridDesc(64, 32);
   p.nranks = 8;
-  p.dist = particles::Distribution::kGaussian;
+  p.scenario = "irregular_beam";
   p.init.total = 8192;
   p.init.drift_ux = 0.15;
   p.iterations = 60;
@@ -101,7 +101,7 @@ TEST(Section4Model, AlignedRunsNearAlignedEstimate) {
   PicParams p;
   p.grid = mesh::GridDesc(64, 32);
   p.nranks = 8;
-  p.dist = particles::Distribution::kUniform;
+  p.scenario = "uniform";
   p.init.total = 8192;
   p.iterations = 20;
   p.policy = "periodic:5";

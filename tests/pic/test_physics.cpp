@@ -14,7 +14,7 @@ TEST(Physics, ColdUniformPlasmaStaysQuiet) {
   PicParams p;
   p.grid = mesh::GridDesc(16, 16);
   p.nranks = 4;
-  p.dist = particles::Distribution::kUniform;
+  p.scenario = "uniform";
   p.init.total = 16 * 16 * 16;  // 16 per cell to keep noise low
   p.init.vth = 0.0;
   p.init.omega_p = 0.1;
@@ -28,7 +28,7 @@ TEST(Physics, ThermalEnergyOrderOfMagnitude) {
   PicParams p;
   p.grid = mesh::GridDesc(16, 16);
   p.nranks = 4;
-  p.dist = particles::Distribution::kUniform;
+  p.scenario = "uniform";
   p.init.total = 4096;
   p.init.vth = 0.05;
   p.iterations = 1;
@@ -44,7 +44,7 @@ TEST(Physics, TotalEnergyBoundedOverRun) {
   PicParams p;
   p.grid = mesh::GridDesc(32, 32);
   p.nranks = 4;
-  p.dist = particles::Distribution::kUniform;
+  p.scenario = "uniform";
   p.init.total = 8192;
   p.init.vth = 0.05;
   p.init.omega_p = 0.15;
@@ -62,7 +62,7 @@ TEST(Physics, DriftingBlobSpreadsGhostFootprint) {
   PicParams p;
   p.grid = mesh::GridDesc(32, 16);
   p.nranks = 8;
-  p.dist = particles::Distribution::kGaussian;
+  p.scenario = "irregular_beam";
   p.init.total = 2048;
   p.init.drift_ux = 0.2;
   p.init.drift_uy = 0.1;
@@ -78,7 +78,7 @@ TEST(Physics, RedistributionShrinksGhostFootprint) {
   PicParams p;
   p.grid = mesh::GridDesc(32, 16);
   p.nranks = 8;
-  p.dist = particles::Distribution::kGaussian;
+  p.scenario = "irregular_beam";
   p.init.total = 2048;
   p.init.drift_ux = 0.2;
   p.iterations = 60;
@@ -100,7 +100,7 @@ TEST(Physics, RelativisticParticlesStaySubluminal) {
   PicParams p;
   p.grid = mesh::GridDesc(16, 16);
   p.nranks = 2;
-  p.dist = particles::Distribution::kUniform;
+  p.scenario = "uniform";
   p.init.total = 512;
   p.init.vth = 2.0;  // relativistic momenta
   p.iterations = 10;

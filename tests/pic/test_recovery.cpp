@@ -12,7 +12,7 @@ PicParams base_params() {
   PicParams p;
   p.grid = mesh::GridDesc(32, 16);
   p.nranks = 8;
-  p.dist = particles::Distribution::kGaussian;
+  p.scenario = "irregular_beam";
   p.init.total = 2048;
   p.init.drift_ux = 0.12;
   p.init.drift_uy = 0.07;

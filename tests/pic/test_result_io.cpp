@@ -136,7 +136,7 @@ TEST(ResultIo, GoldenRoundTripOnRealRun) {
   PicParams p;
   p.grid = mesh::GridDesc(32, 16);
   p.nranks = 8;
-  p.dist = particles::Distribution::kGaussian;
+  p.scenario = "irregular_beam";
   p.init.total = 2000;
   p.init.drift_ux = 0.12;
   p.iterations = 12;

@@ -12,7 +12,7 @@ PicParams params() {
   PicParams p;
   p.grid = mesh::GridDesc(16, 16);
   p.nranks = 4;
-  p.dist = particles::Distribution::kUniform;
+  p.scenario = "uniform";
   p.init.total = 1024;
   p.iterations = 20;
   p.policy = "static";

@@ -1,7 +1,7 @@
 // Scenario library (src/scenario): registry contents, injector determinism,
-// per-scenario golden metrics, conservation under open boundaries, migrated
-// scenarios' equivalence with the legacy dist path, sequential/parallel
-// bit-identity for every scenario, and the pluggable balancer policies.
+// per-scenario golden metrics, conservation under open boundaries,
+// sequential/parallel bit-identity for every scenario, and the pluggable
+// balancer policies.
 //
 // Golden values are pinned from the reference configuration below; the
 // engines are bit-deterministic (DESIGN.md §7), so an exact mismatch means
@@ -91,6 +91,10 @@ TEST(ScenarioRegistry, UnknownNamesAreRejected) {
   EXPECT_EQ(scenario::find_scenario("warp_core"), nullptr);
   EXPECT_THROW(scenario::get_scenario("warp_core"), std::invalid_argument);
   EXPECT_THROW(scenario::get_scenario(""), std::invalid_argument);
+  // The scenario is the only workload path: run_pic defaults to the
+  // uniform plasma and has no fallback for an empty name.
+  EXPECT_EQ(pic::PicParams{}.scenario, "uniform");
+  EXPECT_THROW(pic::run_pic(golden_params("")), std::invalid_argument);
 }
 
 TEST(ScenarioRegistry, LoadoutsProduceTheRequestedPopulation) {
@@ -249,34 +253,6 @@ TEST_F(ScenarioRun, FieldSeedAndDriverActuallyActOnTheRun) {
   EXPECT_NE(hotspot.field_energy, uniform.field_energy);
 }
 
-// --------------------------------------------------------------- migration
-
-TEST_F(ScenarioRun, MigratedScenariosMatchTheLegacyDistPath) {
-  // The three migrated scenarios delegate to the same generators the legacy
-  // dist field selects, with every hook disabled — the results must be
-  // bit-identical, so existing goldens survive the migration.
-  const std::pair<const char*, particles::Distribution> pairs[] = {
-      {"uniform", particles::Distribution::kUniform},
-      {"irregular_beam", particles::Distribution::kGaussian},
-      {"two_stream", particles::Distribution::kTwoStream},
-  };
-  for (const auto& [name, dist] : pairs) {
-    SCOPED_TRACE(name);
-    const auto via_scenario = pic::run_pic(golden_params(name));
-    auto legacy = golden_params(name);
-    legacy.scenario.clear();
-    legacy.dist = dist;
-    const auto via_dist = pic::run_pic(legacy);
-    EXPECT_EQ(via_scenario.total_seconds, via_dist.total_seconds);
-    EXPECT_EQ(via_scenario.compute_seconds, via_dist.compute_seconds);
-    EXPECT_EQ(via_scenario.kinetic_energy, via_dist.kinetic_energy);
-    EXPECT_EQ(via_scenario.field_energy, via_dist.field_energy);
-    EXPECT_EQ(via_scenario.total_charge, via_dist.total_charge);
-    EXPECT_EQ(via_scenario.final_particles, via_dist.final_particles);
-    EXPECT_EQ(via_scenario.redistributions, via_dist.redistributions);
-  }
-}
-
 // ------------------------------------------------------------------- modes
 
 void expect_identical_runs(const pic::PicResult& a, const pic::PicResult& b) {
@@ -374,9 +350,7 @@ TEST(ScenarioBalancer, WeightedBoundsAreCellAlignedAndRankIdentical) {
 TEST_F(ScenarioRun, WeightedBalancersRunConserveAndStayDeterministic) {
   for (const char* spec : {"eulerian", "sfcweight", "sfcweight:4"}) {
     SCOPED_TRACE(spec);
-    auto p = golden_params("");
-    p.scenario.clear();
-    p.dist = particles::Distribution::kGaussian;
+    auto p = golden_params("irregular_beam");
     p.partitioner.balancer = spec;
     const auto seq = pic::run_pic(p);
     EXPECT_EQ(seq.final_particles, 2048u);
@@ -404,8 +378,7 @@ TEST_F(ScenarioRun, AlphaBiasesTowardCellBalance) {
   // Larger alpha weights mesh cells over particles, so on a concentrated
   // blob the particle-count imbalance must grow with alpha.
   auto run_with = [](const char* spec) {
-    auto p = golden_params("");
-    p.dist = particles::Distribution::kGaussian;
+    auto p = golden_params("irregular_beam");
     p.partitioner.balancer = spec;
     return pic::run_pic(p).final_imbalance;
   };

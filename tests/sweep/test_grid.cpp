@@ -1,9 +1,13 @@
 // Grid-file parsing and deterministic cross-product expansion.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
 #include <stdexcept>
 
+#include "scenario/scenario.hpp"
 #include "sweep/grid.hpp"
+#include "sweep/sweep.hpp"
 
 namespace picpar::sweep {
 namespace {
@@ -48,7 +52,7 @@ TEST(SweepGridParse, RejectsMalformedInput) {
 
 TEST(SweepGridExpand, CrossProductInDeclaredOrder) {
   SweepGrid g;
-  g.scenario = {"uniform", "irregular"};
+  g.scenario = {"uniform", "irregular_beam"};
   g.policy = {"static", "sar"};
   g.seed = {1, 2};
   g.mesh = {"32x16"};
@@ -61,13 +65,14 @@ TEST(SweepGridExpand, CrossProductInDeclaredOrder) {
   EXPECT_EQ(jobs[0].label, "uniform/32x16/p1000/r4/hilbert/static/s1/i5");
   EXPECT_EQ(jobs[1].label, "uniform/32x16/p1000/r4/hilbert/static/s2/i5");
   EXPECT_EQ(jobs[2].label, "uniform/32x16/p1000/r4/hilbert/sar/s1/i5");
-  EXPECT_EQ(jobs[4].label, "irregular/32x16/p1000/r4/hilbert/static/s1/i5");
-  EXPECT_EQ(jobs[7].label, "irregular/32x16/p1000/r4/hilbert/sar/s2/i5");
+  EXPECT_EQ(jobs[4].label,
+            "irregular_beam/32x16/p1000/r4/hilbert/static/s1/i5");
+  EXPECT_EQ(jobs[7].label, "irregular_beam/32x16/p1000/r4/hilbert/sar/s2/i5");
 
   const auto& p = jobs[7].params;
   EXPECT_EQ(p.grid.nx, 32u);
   EXPECT_EQ(p.grid.ny, 16u);
-  EXPECT_EQ(p.dist, particles::Distribution::kGaussian);
+  EXPECT_EQ(p.scenario, "irregular_beam");
   EXPECT_EQ(p.policy, "sar");
   EXPECT_EQ(p.nranks, 4);
   EXPECT_EQ(p.init.total, 1000u);
@@ -82,29 +87,60 @@ TEST(SweepGridExpand, CrossProductInDeclaredOrder) {
 
 TEST(SweepGridExpand, ScenarioAxisAcceptsTheScenarioLibrary) {
   SweepGrid g;
-  g.scenario = {"uniform",          "irregular_beam", "two_stream",
-                "weibel",           "beam_into_plasma", "moving_hotspot"};
+  g.scenario = scenario::scenario_names();
   g.mesh = {"32x16"};
   g.particles = {1000};
   g.ranks = {4};
   g.iterations = {5};
   const auto jobs = expand_grid(g);
   ASSERT_EQ(jobs.size(), 6u);
-  // Migrated names keep the legacy dist path (pre-scenario grid points
-  // expand to identical PicParams); library scenarios select the scenario
-  // path and leave dist alone.
-  EXPECT_EQ(jobs[0].params.scenario, "");
-  EXPECT_EQ(jobs[0].params.dist, particles::Distribution::kUniform);
-  EXPECT_EQ(jobs[1].params.scenario, "");
-  EXPECT_EQ(jobs[1].params.dist, particles::Distribution::kGaussian);
-  EXPECT_EQ(jobs[2].params.scenario, "");
-  EXPECT_EQ(jobs[2].params.dist, particles::Distribution::kTwoStream);
-  for (int i = 3; i < 6; ++i) {
-    EXPECT_EQ(jobs[i].params.scenario, g.scenario[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(jobs[i].params.dist, particles::Distribution::kUniform);
+  // Render the CSV from the jobs alone; its scenario column needs no run.
+  SweepReport report;
+  for (const auto& j : jobs) {
+    Outcome o;
+    o.label = j.label;
+    o.fingerprint = j.params.fingerprint();
+    o.params = j.params;
+    report.outcomes.push_back(o);
   }
-  // Labels keep the axis value, so scenario grid points stay distinct.
-  EXPECT_EQ(jobs[3].label, "weibel/32x16/p1000/r4/hilbert/sar/s1/i5");
+  std::istringstream csv(comparison_csv(report));
+  const auto scenario_column = [&csv] {
+    std::string line, cell;
+    std::getline(csv, line);
+    std::istringstream row(line);
+    for (int c = 0; c < 4; ++c) std::getline(row, cell, ',');
+    return cell;
+  };
+  ASSERT_EQ(scenario_column(), "scenario");
+  // Every name reaches the config, the label and the CSV unchanged, and
+  // no two names share a cache identity.
+  std::set<std::string> fingerprints;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::string& name = g.scenario[i];
+    SCOPED_TRACE(name);
+    EXPECT_EQ(jobs[i].params.scenario, name);
+    EXPECT_EQ(jobs[i].label, name + "/32x16/p1000/r4/hilbert/sar/s1/i5");
+    EXPECT_EQ(scenario_column(), name);
+    fingerprints.insert(jobs[i].params.fingerprint());
+  }
+  EXPECT_EQ(fingerprints.size(), jobs.size());
+}
+
+TEST(SweepGridExpand, DistributionNamesAreNotScenarios) {
+  for (const char* legacy : {"gaussian", "irregular", "ring"}) {
+    SCOPED_TRACE(legacy);
+    SweepGrid g;
+    g.scenario = {legacy};
+    try {
+      expand_grid(g);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      // The error names every registry entry, so the fix is at hand.
+      const std::string what = e.what();
+      for (const auto& name : scenario::scenario_names())
+        EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(SweepGridExpand, PolicyAxisComposesDecisionAndBalancer) {
