@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace picpar::core {
 
@@ -34,23 +35,30 @@ DedupPolicy parse_dedup_policy(const std::string& name) {
 }
 
 GhostExchange::GhostExchange(const mesh::LocalGrid& lg, DedupPolicy policy)
-    : lg_(&lg), policy_(policy) {
-  if (policy_ == DedupPolicy::kDirect)
-    direct_.assign(static_cast<std::size_t>(lg.grid().nodes()),
-                   mesh::kNoLocal);
+    : lg_(&lg),
+      policy_(policy),
+      owned_(static_cast<std::uint32_t>(lg.owned())) {
+  if (policy_ == DedupPolicy::kDirect) {
+    direct_.assign(static_cast<std::size_t>(lg.grid().nodes()), kNoSlot);
+    // Owned entries hold their local index for the whole run.
+    for (std::uint32_t l = 0; l < owned_; ++l)
+      direct_[static_cast<std::size_t>(lg.gid_of(l))] = l;
+  }
 }
 
 void GhostExchange::begin_iteration() {
   if (policy_ == DedupPolicy::kHash) {
     ++gen_;  // O(1) table reset: stale entries now fail the stamp check
   } else {
-    // Reset only the slots touched last iteration, not the whole table.
+    // Reset only the ghost entries touched last iteration; owned entries
+    // never change.
     for (const auto gid : gids_)
-      direct_[static_cast<std::size_t>(gid)] = mesh::kNoLocal;
+      direct_[static_cast<std::size_t>(gid)] = kNoSlot;
   }
   gids_.clear();
   deposit_.clear();
   field_.clear();
+  dest_count_ = kNoRecord;
   for (auto& e : rank_slots_) e.value.clear();
   requests_.clear();
 }
@@ -66,7 +74,8 @@ std::uint32_t GhostExchange::find_slot(std::uint64_t gid) const {
       h = (h + 1) & hash_mask_;
     }
   }
-  return direct_[static_cast<std::size_t>(gid)];
+  const std::uint32_t d = direct_[static_cast<std::size_t>(gid)];
+  return d == kNoSlot || d < owned_ ? kNoSlot : d - owned_;
 }
 
 void GhostExchange::hash_grow() {
@@ -89,18 +98,40 @@ void GhostExchange::hash_insert(std::uint64_t gid, std::uint32_t slot) {
   hash_[h] = HashEntry{gid, slot, gen_};
 }
 
-std::uint32_t GhostExchange::deposit_slot_index(std::uint64_t gid) {
+std::uint32_t GhostExchange::ghost_slot(std::uint64_t gid) {
   std::uint32_t slot = find_slot(gid);
   if (slot == kNoSlot) {
     slot = static_cast<std::uint32_t>(gids_.size());
     if (policy_ == DedupPolicy::kHash)
       hash_insert(gid, slot);
     else
-      direct_[static_cast<std::size_t>(gid)] = slot;
+      direct_[static_cast<std::size_t>(gid)] = owned_ + slot;
     gids_.push_back(gid);
     deposit_.resize(deposit_.size() + kDeposit, 0.0);
   }
   return slot;
+}
+
+std::uint32_t GhostExchange::deposit_slot_index(std::uint64_t gid) {
+  // Under kDirect an owned node's entry is its local index for the whole
+  // run; a slot there would overwrite it, and the next reset erase it.
+  if (lg_->owns(gid))
+    throw std::logic_error("GhostExchange: deposit_slot_index of owned node " +
+                           std::to_string(gid));
+  return ghost_slot(gid);
+}
+
+std::uint32_t* GhostExchange::record(std::size_t n) {
+  if (dest_.size() < 4 * n) dest_.resize(4 * n);
+  dest_count_ = n;
+  return dest_.data();
+}
+
+const std::uint32_t* GhostExchange::recorded(std::size_t n) const {
+  if (dest_count_ != n)
+    throw std::logic_error("GhostExchange: no destination record of " +
+                           std::to_string(n) + " particles this iteration");
+  return dest_.data();
 }
 
 void GhostExchange::flush_scatter(sim::Comm& comm, mesh::FieldState& f) {
@@ -206,7 +237,8 @@ std::size_t GhostExchange::memory_bytes() const {
                       deposit_.capacity() * sizeof(double) +
                       field_.capacity() * sizeof(double) +
                       hash_.capacity() * sizeof(HashEntry) +
-                      direct_.capacity() * sizeof(std::uint32_t);
+                      direct_.capacity() * sizeof(std::uint32_t) +
+                      dest_.capacity() * sizeof(std::uint32_t);
   bytes += rank_slots_.memory_bytes();
   for (const auto& e : rank_slots_)
     bytes += e.value.capacity() * sizeof(std::uint32_t);

@@ -9,15 +9,23 @@
 // reused in the opposite direction: owners return E and B at exactly the
 // grid points that were requested in the scatter phase.
 //
+// The particle kernels resolve each stencil vertex once per iteration
+// through resolve(): one *destination index* per vertex, either the owned
+// local index or owned() + ghost slot. The deposit records every
+// particle's four destinations (record), and the gather reads them back
+// (recorded) instead of resolving again; DESIGN.md §10.
+//
 // Two duplicate-removal policies are implemented, as in the paper:
 //   kHash   — a generation-stamped open-addressing hash table keyed by
 //             global node id (memory proportional to the number of ghost
 //             points, extra search time). The generation stamp makes the
 //             per-iteration reset O(1) instead of O(table size); see
-//             DESIGN.md §10.
-//   kDirect — a direct-address table over all m grid points (O(1) lookups,
-//             memory proportional to m). Reset walks only the slots that
-//             were touched, so it is proportional to the ghost count, not m.
+//             DESIGN.md §10. resolve() asks the local grid first.
+//   kDirect — a direct-address table over all m grid points, holding the
+//             destination index itself, so resolve() is one load (memory
+//             proportional to m). Owned entries are written once, at
+//             construction; the reset walks only the ghost entries that
+//             were touched, so it is proportional to the ghost count.
 #pragma once
 
 #include <cstdint>
@@ -49,14 +57,33 @@ public:
 
   DedupPolicy policy() const { return policy_; }
 
-  /// Reset the accumulation table for a new iteration. Cost is proportional
-  /// to the previous iteration's ghost count (kDirect) or O(1) (kHash).
+  /// Owned nodes of the local grid; destination indices below this are
+  /// owned local indices, the rest are owned() + ghost slot.
+  std::uint32_t owned() const { return owned_; }
+
+  /// Reset the accumulation table for a new iteration and invalidate the
+  /// destination record. Cost is proportional to the previous iteration's
+  /// ghost count (kDirect) or O(1) (kHash).
   void begin_iteration();
 
+  /// Destination index of node `gid`: its owned local index, or
+  /// owned() + slot for the ghost slot, created on first touch. kDirect
+  /// answers with one table load; kHash asks the local grid, then hashes.
+  std::uint32_t resolve(std::uint64_t gid) {
+    if (policy_ == DedupPolicy::kDirect) [[likely]] {
+      const std::uint32_t d = direct_[static_cast<std::size_t>(gid)];
+      if (d != kNoSlot) [[likely]] return d;
+    } else {
+      const std::uint32_t l = lg_->local_of(gid);  // kNoLocal is above all
+      if (l < owned_) return l;
+    }
+    return owned_ + ghost_slot(gid);
+  }
+
   /// Slot index for off-processor node `gid`; creates the entry on first
-  /// touch. Must not be called for owned nodes. Slot indices are stable for
-  /// the rest of the iteration (unlike deposit_data pointers, which move
-  /// when the table grows) — callers that memoize must store the index.
+  /// touch. Throws std::logic_error for an owned node. Slot indices are
+  /// stable for the rest of the iteration (unlike deposit_data pointers,
+  /// which move when the table grows) — callers must store the index.
   std::uint32_t deposit_slot_index(std::uint64_t gid);
 
   /// Accumulator (kDeposit doubles) for a slot index from deposit_slot_index.
@@ -70,8 +97,18 @@ public:
     return deposit_data(deposit_slot_index(gid));
   }
 
-  /// Slot previously created for `gid` this iteration, kNoSlot if absent.
+  /// Slot previously created for `gid` this iteration, kNoSlot if absent
+  /// or owned.
   std::uint32_t slot_of(std::uint64_t gid) const { return find_slot(gid); }
+
+  /// Room for the deposit to record n particles' destinations, four per
+  /// particle in CicStencil vertex order. The capacity persists across
+  /// iterations.
+  std::uint32_t* record(std::size_t n);
+
+  /// The record of exactly n particles. Throws std::logic_error when the
+  /// last record was of another count or begin_iteration has run since.
+  const std::uint32_t* recorded(std::size_t n) const;
 
   /// Number of distinct ghost grid points this iteration.
   std::size_t entries() const { return gids_.size(); }
@@ -97,22 +134,25 @@ public:
   const double* field_slot(std::uint64_t gid) const;
 
   /// Resident bytes held by the ghost tables: slot storage, the lookup
-  /// structure (hash or direct), the persistent routing scratch, and the
-  /// high-water mark of the per-call message staging (send tables built in
-  /// flush_scatter, reply buffers in fetch_fields — transient, but a real
-  /// part of the rank's peak footprint that an earlier version of this
-  /// accounting missed). Capacities, not sizes — this is what the rank's
-  /// memory budget pays for, since scratch capacity persists across
-  /// iterations.
+  /// structure (hash or direct), the destination record, the persistent
+  /// routing scratch, and the high-water mark of the per-call message
+  /// staging (send tables built in flush_scatter, reply buffers in
+  /// fetch_fields — transient, but a real part of the rank's peak
+  /// footprint that an earlier version of this accounting missed).
+  /// Capacities, not sizes — this is what the rank's memory budget pays
+  /// for, since scratch capacity persists across iterations.
   std::size_t memory_bytes() const;
 
 private:
   std::uint32_t find_slot(std::uint64_t gid) const;  ///< kNoSlot if absent
+  /// Slot of non-owned node `gid`, created on first touch.
+  std::uint32_t ghost_slot(std::uint64_t gid);
   void hash_insert(std::uint64_t gid, std::uint32_t slot);
   void hash_grow();
 
   const mesh::LocalGrid* lg_;
   DedupPolicy policy_;
+  std::uint32_t owned_;
 
   // Entry storage (slot-indexed).
   std::vector<std::uint64_t> gids_;
@@ -131,8 +171,14 @@ private:
   std::size_t hash_mask_ = 0;
   std::uint64_t gen_ = 1;
 
-  // kDirect lookup.
+  // kDirect lookup: the destination index per gid, kNoSlot if untouched.
   std::vector<std::uint32_t> direct_;
+
+  // The deposit's destination record (4 per particle) and the particle
+  // count it holds; kNoRecord after begin_iteration.
+  static constexpr std::size_t kNoRecord = ~std::size_t{0};
+  std::vector<std::uint32_t> dest_;
+  std::size_t dest_count_ = kNoRecord;
 
   // Scatter-flush routing, reused by fetch_fields. Sparse in the owner
   // ranks this rank's ghosts actually touch (its curve neighbors), not the

@@ -15,13 +15,14 @@ struct CicStencil {
   double weight[4];
 };
 
-/// Compute the CIC stencil for wrapped position (x, y), given the cell
-/// size (dx, dy) == (g.dx(), g.dy()). Weight order: (x0,y0), (x1,y0),
-/// (x0,y1), (x1,y1).
-inline CicStencil cic_stencil(const mesh::GridDesc& g, double x, double y,
-                              double dx, double dy) {
-  const double gx = x / dx;
-  const double gy = y / dy;
+/// The CIC stencil of the position whose grid coordinates are
+/// (gx, gy) == (x / dx, y / dy). Weight order: (x0,y0), (x1,y0), (x0,y1),
+/// (x1,y1). cic_stencil divides and calls this; the particle kernels take
+/// the quotients from a packed block pass and call it too, so both build
+/// cell and weights with this one piece of scalar code, even for a NaN or
+/// out-of-range position (DESIGN.md §18).
+inline CicStencil cic_stencil_of_quotients(const mesh::GridDesc& g,
+                                           double gx, double gy) {
   auto cx = static_cast<std::uint32_t>(gx);
   auto cy = static_cast<std::uint32_t>(gy);
   if (cx >= g.nx) cx = g.nx - 1;
@@ -44,9 +45,9 @@ inline CicStencil cic_stencil(const mesh::GridDesc& g, double x, double y,
   return s;
 }
 
-/// Same, computing the cell size from the grid.
+/// Compute the CIC stencil for wrapped position (x, y).
 inline CicStencil cic_stencil(const mesh::GridDesc& g, double x, double y) {
-  return cic_stencil(g, x, y, g.dx(), g.dy());
+  return cic_stencil_of_quotients(g, x / g.dx(), y / g.dy());
 }
 
 }  // namespace picpar::particles

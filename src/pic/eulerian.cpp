@@ -74,7 +74,7 @@ PicResult run_eulerian(const PicParams& params) {
       ghosts.begin_iteration();
       f.clear_sources();
       const std::size_t n = mine.size();
-      deposit(grid, mine, lg, f, ghosts);
+      deposit(grid, mine, f, ghosts);
       comm.charge(static_cast<double>(4 * n) * pc.scatter_per_vertex * delta);
       ghosts.flush_scatter(comm, f);
 
@@ -89,8 +89,8 @@ PicResult run_eulerian(const PicParams& params) {
       // ---- Gather ----
       comm.set_phase(Phase::kGather);
       ghosts.fetch_fields(comm, f);
-      gather_kick(grid, dt, driver, static_cast<double>(iter) * dt, mine, lg,
-                  f, ghosts);
+      gather_kick(grid, dt, driver, static_cast<double>(iter) * dt, mine, f,
+                  ghosts);
       comm.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 
       // ---- Push + migration ----

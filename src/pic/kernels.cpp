@@ -14,39 +14,23 @@ using particles::ParticleArray;
 
 namespace {
 
-/// Particles per block pass. The block scratch (3.5 KB at most) lives on
-/// the calling rank's stack.
-constexpr std::size_t kBlock = 64;
-
-/// Per-cell stencil-destination memo (DESIGN.md §10), shared by deposit
-/// and gather. Particles are kept sorted along the curve, so consecutive
-/// particles usually share a cell: the four vertex destinations (owned
-/// local index or ghost slot index) are resolved once per run of same-cell
-/// particles. Slot *indices* are kept, not pointers, because the ghost
-/// table reallocates as it grows. Lookups happen in particle order, so
-/// ghost entries are created in the same first-touch order and every
-/// message stays byte-identical.
-struct StencilMemo {
-  std::uint64_t cell = ~std::uint64_t{0};
-  bool owned[4] = {false, false, false, false};
-  std::uint32_t idx[4] = {0, 0, 0, 0};
-
-  /// Resolve st's vertices unless st lies in the memoized cell; `slot_of`
-  /// maps a non-owned vertex to its ghost slot index.
-  template <class SlotOf>
-  void resolve(const particles::CicStencil& st, const mesh::LocalGrid& lg,
-               SlotOf slot_of) {
-    if (st.node[0] == cell) return;
-    cell = st.node[0];
-    for (int k = 0; k < 4; ++k) {
-      const auto l = lg.local_of(st.node[k]);
-      owned[k] = l != mesh::kNoLocal && l < lg.owned();
-      idx[k] = owned[k] ? l : slot_of(st.node[k]);
-    }
-  }
-};
+/// Particles per block pass. The block scratch (2.3 KB at most, in the
+/// gather) lives on the calling rank's stack; keep it at or below 3.5 KB,
+/// since one more 4 KiB page per rank fiber costs 4 MiB at p = 1024
+/// (DESIGN.md §18).
+constexpr std::size_t kBlock = 32;
 
 }  // namespace
+
+void quotients_block(std::size_t n, double dx, double dy,
+                     const double* __restrict__ x,
+                     const double* __restrict__ y, double* __restrict__ gx,
+                     double* __restrict__ gy) {
+  for (std::size_t j = 0; j < n; ++j) {
+    gx[j] = x[j] / dx;
+    gy[j] = y[j] / dy;
+  }
+}
 
 void currents_block(std::size_t n, const double* __restrict__ qv,
                     const double* __restrict__ ux,
@@ -86,37 +70,42 @@ void advance_block(std::size_t n, double dt, const double* __restrict__ x,
 }
 
 void deposit(const mesh::GridDesc& grid, const ParticleArray& p,
-             const mesh::LocalGrid& lg, mesh::FieldState& f,
-             core::GhostExchange& ghosts) {
+             mesh::FieldState& f, core::GhostExchange& ghosts) {
   const double dx = grid.dx();
   const double dy = grid.dy();
   const double inv_cell = 1.0 / (dx * dy);
   const std::size_t n = p.size();
-  StencilMemo memo;
+  const std::uint32_t owned = ghosts.owned();
+  std::uint32_t* const record = ghosts.record(n);
+  double gx[kBlock] = {}, gy[kBlock] = {};
   double qv[kBlock] = {}, jx[kBlock] = {}, jy[kBlock] = {},
          jz[kBlock] = {};
   for (std::size_t b = 0; b < n; b += kBlock) {
     const std::size_t nb = std::min(kBlock, n - b);
+    quotients_block(nb, dx, dy, p.x.data() + b, p.y.data() + b, gx, gy);
     for (std::size_t j = 0; j < nb; ++j)
       qv[j] = p.charge_of(b + j) * inv_cell;
     currents_block(nb, qv, p.ux.data() + b, p.uy.data() + b,
                    p.uz.data() + b, jx, jy, jz);
     for (std::size_t j = 0; j < nb; ++j) {
-      const std::size_t i = b + j;
-      const auto st = particles::cic_stencil(grid, p.x[i], p.y[i], dx, dy);
-      memo.resolve(st, lg, [&](std::uint64_t gid) {
-        return ghosts.deposit_slot_index(gid);
-      });
+      const auto st = particles::cic_stencil_of_quotients(grid, gx[j], gy[j]);
+      // Resolve all four vertices before accumulating: a new ghost slot
+      // may move deposit_data's storage. A local array, not the record,
+      // lets the compiler keep the exchange's policy and owned count in
+      // registers across the four lookups.
+      std::uint32_t dest[4];
+      for (int k = 0; k < 4; ++k) dest[k] = ghosts.resolve(st.node[k]);
+      std::copy_n(dest, 4, record + 4 * (b + j));
       for (int k = 0; k < 4; ++k) {
         const double w = st.weight[k];
-        if (memo.owned[k]) {
-          const auto l = memo.idx[k];
-          f.jx[l] += w * jx[j];
-          f.jy[l] += w * jy[j];
-          f.jz[l] += w * jz[j];
-          f.rho[l] += w * qv[j];
+        const std::uint32_t d = dest[k];
+        if (d < owned) {
+          f.jx[d] += w * jx[j];
+          f.jy[d] += w * jy[j];
+          f.jz[d] += w * jz[j];
+          f.rho[d] += w * qv[j];
         } else {
-          double* slot = ghosts.deposit_data(memo.idx[k]);
+          double* slot = ghosts.deposit_data(d - owned);
           slot[0] += w * jx[j];
           slot[1] += w * jy[j];
           slot[2] += w * jz[j];
@@ -129,40 +118,41 @@ void deposit(const mesh::GridDesc& grid, const ParticleArray& p,
 
 void gather_kick(const mesh::GridDesc& grid, double dt,
                  const scenario::DriverSpec* driver, double t,
-                 ParticleArray& p, const mesh::LocalGrid& lg,
-                 const mesh::FieldState& f, const core::GhostExchange& ghosts) {
+                 ParticleArray& p, const mesh::FieldState& f,
+                 const core::GhostExchange& ghosts) {
   const double dx = grid.dx();
   const double dy = grid.dy();
   const double qm0 = particles::boris_factor(p.charge(), p.mass(), dt);
   const bool multi = p.nspecies() > 1;
   const std::size_t n = p.size();
-  StencilMemo memo;
-  double qm[kBlock] = {};
+  const std::uint32_t owned = ghosts.owned();
+  // Positions are unchanged since the deposit, so its record still names
+  // every particle's four destinations.
+  const std::uint32_t* const record = ghosts.recorded(n);
+  double gx[kBlock] = {}, gy[kBlock] = {}, qm[kBlock] = {};
   double ex[kBlock] = {}, ey[kBlock] = {}, ez[kBlock] = {};
   double bx[kBlock] = {}, by[kBlock] = {}, bz[kBlock] = {};
   for (std::size_t b = 0; b < n; b += kBlock) {
     const std::size_t nb = std::min(kBlock, n - b);
+    quotients_block(nb, dx, dy, p.x.data() + b, p.y.data() + b, gx, gy);
     for (std::size_t j = 0; j < nb; ++j) {
       const std::size_t i = b + j;
-      // Positions are unchanged since the deposit, so every vertex is
-      // either owned or already has a ghost slot.
-      const auto st = particles::cic_stencil(grid, p.x[i], p.y[i], dx, dy);
-      memo.resolve(st, lg,
-                   [&](std::uint64_t gid) { return ghosts.slot_of(gid); });
+      const auto st = particles::cic_stencil_of_quotients(grid, gx[j], gy[j]);
+      const std::uint32_t* const dest = record + 4 * i;
       // picpar-lint: allow(float-reduction-order) fixed 4-point stencil
       particles::LocalFields lf;
       for (int k = 0; k < 4; ++k) {
         const double w = st.weight[k];
-        if (memo.owned[k]) {
-          const auto l = memo.idx[k];
-          lf.ex += w * f.ex[l];
-          lf.ey += w * f.ey[l];
-          lf.ez += w * f.ez[l];
-          lf.bx += w * f.bx[l];
-          lf.by += w * f.by[l];
-          lf.bz += w * f.bz[l];
+        const std::uint32_t d = dest[k];
+        if (d < owned) {
+          lf.ex += w * f.ex[d];
+          lf.ey += w * f.ey[d];
+          lf.ez += w * f.ez[d];
+          lf.bx += w * f.bx[d];
+          lf.by += w * f.by[d];
+          lf.bz += w * f.bz[d];
         } else {
-          const double* s = ghosts.field_data(memo.idx[k]);
+          const double* s = ghosts.field_data(d - owned);
           lf.ex += w * s[0];
           lf.ey += w * s[1];
           lf.ez += w * s[2];

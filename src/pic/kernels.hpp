@@ -3,13 +3,15 @@
 // push. run_pic calls each once per rank and iteration; the Section 3
 // baselines (eulerian.cpp, replicated.cpp) call deposit and gather_kick.
 //
-// Every kernel walks its particles in blocks of at most 64. Per block, a
-// branch-free pass over flat arrays does the square roots and divides that
-// need no stencil lookup (GCC vectorizes it), and a scalar pass does the
-// memoized stencil lookups, the accumulation, the wrap, the key and the
-// compaction, in particle order. The results, the ghost-entry order and
-// every message are bit for bit those of the per-particle helpers in
-// particles/.
+// Every kernel walks its particles in blocks of at most 32. Per block,
+// branch-free passes over flat arrays do the square roots and divides that
+// need no table lookup (GCC vectorizes them), and a scalar pass does the
+// stencil's cell and weights, the accumulation, the wrap, the key and the
+// compaction, in particle order. The deposit resolves each particle's four
+// vertices to destinations once (GhostExchange::resolve) and records them;
+// the gather reads that record instead of resolving again. The results,
+// the ghost-entry order and every message are bit for bit those of the
+// per-particle helpers in particles/.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +20,6 @@
 #include "core/ghost_exchange.hpp"
 #include "mesh/fields.hpp"
 #include "mesh/grid.hpp"
-#include "mesh/local_grid.hpp"
 #include "particles/particle_array.hpp"
 #include "scenario/scenario.hpp"
 #include "sfc/index_cache.hpp"
@@ -26,21 +27,22 @@
 namespace picpar::pic {
 
 /// Scatter: deposit each particle's current q u / gamma and charge q, over
-/// the cell area, with CIC weights onto the owned nodes of `f`, or into
-/// ghost slots created in first-touch order. The caller has cleared the
-/// sources and begun the ghost iteration.
+/// the cell area, with CIC weights onto the owned nodes of `f` (on the
+/// local grid of `ghosts`), or into ghost slots created in first-touch
+/// order. Records every particle's four destinations in `ghosts`. The
+/// caller has cleared the sources and begun the ghost iteration.
 void deposit(const mesh::GridDesc& grid, const particles::ParticleArray& p,
-             const mesh::LocalGrid& lg, mesh::FieldState& f,
-             core::GhostExchange& ghosts);
+             mesh::FieldState& f, core::GhostExchange& ghosts);
 
-/// Gather + kick: interpolate E and B at each particle from owned nodes or
-/// from the ghost slots the deposit created (filled by fetch_fields), add
-/// the scenario driver field at virtual time t when `driver` is non-null,
-/// and Boris-kick the momentum over dt.
+/// Gather + kick: interpolate E and B at each particle from the owned
+/// nodes and ghost slots (filled by fetch_fields) that the deposit
+/// recorded, add the scenario driver field at virtual time t when `driver`
+/// is non-null, and Boris-kick the momentum over dt. Throws
+/// std::logic_error unless the record is of exactly p's particles.
 void gather_kick(const mesh::GridDesc& grid, double dt,
                  const scenario::DriverSpec* driver, double t,
-                 particles::ParticleArray& p, const mesh::LocalGrid& lg,
-                 const mesh::FieldState& f, const core::GhostExchange& ghosts);
+                 particles::ParticleArray& p, const mesh::FieldState& f,
+                 const core::GhostExchange& ghosts);
 
 /// Push: move each particle by dt u / gamma and recompute its key through
 /// `keys`. Positions wrap periodically; with absorb_x, a particle that
@@ -49,9 +51,14 @@ void gather_kick(const mesh::GridDesc& grid, double dt,
 std::uint64_t push(const mesh::GridDesc& grid, double dt, bool absorb_x,
                    const sfc::IndexCache& keys, particles::ParticleArray& p);
 
-// The block passes, over n particles (the kernels pass at most 64).
+// The block passes, over n particles (the kernels pass at most 32).
 // Outputs must not overlap inputs, except that kick_block updates ux, uy,
 // uz in place.
+
+/// Deposit and gather: the grid coordinates gx = x / dx, gy = y / dy that
+/// particles::cic_stencil_of_quotients takes.
+void quotients_block(std::size_t n, double dx, double dy, const double* x,
+                     const double* y, double* gx, double* gy);
 
 /// Deposit: j = qv u / lorentz_gamma(u), per component.
 void currents_block(std::size_t n, const double* qv, const double* ux,

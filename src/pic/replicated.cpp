@@ -117,7 +117,8 @@ PicResult run_replicated(const PicParams& params) {
 
     FieldState f(lg);
     scenario::apply_field_seed(sc.field_seed, grid, lg, f);
-    // Every stencil vertex is owned, so the kernels never touch it.
+    // Every stencil vertex is owned, so the kernels only resolve owned
+    // nodes through it and keep their destination record in it.
     core::GhostExchange no_ghosts(lg, core::DedupPolicy::kHash);
     // Field-solve chunk boundaries (contiguous node-id ranges).
     std::vector<std::uint64_t> bounds(static_cast<std::size_t>(p) + 1);
@@ -145,7 +146,7 @@ PicResult run_replicated(const PicParams& params) {
       comm.set_phase(Phase::kScatter);
       f.clear_sources();
       const std::size_t n = mine.size();
-      deposit(grid, mine, lg, f, no_ghosts);
+      deposit(grid, mine, f, no_ghosts);
       comm.charge(static_cast<double>(4 * n) * pc.scatter_per_vertex * delta);
       global_sum(comm, {&f.jx, &f.jy, &f.jz, &f.rho});
 
@@ -163,8 +164,8 @@ PicResult run_replicated(const PicParams& params) {
 
       // ---- Gather + push: purely local ----
       comm.set_phase(Phase::kGather);
-      gather_kick(grid, dt, driver, static_cast<double>(iter) * dt, mine, lg,
-                  f, no_ghosts);
+      gather_kick(grid, dt, driver, static_cast<double>(iter) * dt, mine, f,
+                  no_ghosts);
       comm.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 
       comm.set_phase(Phase::kPush);

@@ -615,7 +615,7 @@ PicResult run_pic(const PicParams& params) {
       ghosts.begin_iteration();
       f.clear_sources();
       const std::size_t n = mine.size();
-      deposit(grid, mine, lg, f, ghosts);
+      deposit(grid, mine, f, ghosts);
       c.charge(static_cast<double>(4 * n) * pc.scatter_per_vertex * delta);
       rec.ghost_entries = ghosts.entries();
       c.mark(trace::kMarkGhostEntries, iter,
@@ -653,7 +653,7 @@ PicResult run_pic(const PicParams& params) {
       c.set_phase(Phase::kGather);
       ghosts.fetch_fields(c, f);
       gather_kick(grid, dt, sc.driver.enabled ? &sc.driver : nullptr,
-                  static_cast<double>(iter) * dt, mine, lg, f, ghosts);
+                  static_cast<double>(iter) * dt, mine, f, ghosts);
       c.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
 
       // ---- Push phase ----

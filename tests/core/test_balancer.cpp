@@ -89,10 +89,12 @@ TEST(BalancerBounds, MoreRanksThanOccupiedCells) {
     ASSERT_LT(o, p);
     count[static_cast<std::size_t>(o)] += 5;
   }
-  for (int r = 1; r < p; ++r)
-    if (b[r] == b[r - 1])
+  for (int r = 1; r < p; ++r) {
+    if (b[r] == b[r - 1]) {
       EXPECT_EQ(count[static_cast<std::size_t>(r)], 0)
           << "duplicate-bound rank " << r << " must be empty";
+    }
+  }
   int total = 0;
   for (const int n : count) total += n;
   EXPECT_EQ(total, 15) << "every particle owned exactly once";

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "sfc/hilbert.hpp"
 
@@ -141,6 +142,113 @@ TEST_P(GhostPolicies, OneMessagePerDestination) {
       EXPECT_LE(sent, 3u);
     }
   });
+}
+
+TEST_P(GhostPolicies, ResolveNamesOwnedIndexOrOwnedPlusSlot) {
+  GridDesc g(8, 8);
+  const auto part = GridPartition::block(g, 2, 2);
+  LocalGrid lg(part, 0);
+  GhostExchange ge(lg, GetParam());
+  ge.begin_iteration();
+  EXPECT_EQ(ge.owned(), lg.owned());
+  std::uint32_t ghosts = 0;
+  for (std::uint64_t gid = 0; gid < g.nodes(); ++gid) {
+    const auto d = ge.resolve(gid);
+    if (lg.owns(gid)) {
+      EXPECT_EQ(d, lg.local_of(gid)) << "gid " << gid;
+      EXPECT_EQ(ge.slot_of(gid), GhostExchange::kNoSlot) << "gid " << gid;
+    } else {
+      // Slots are created in first-touch order.
+      EXPECT_EQ(d, ge.owned() + ghosts) << "gid " << gid;
+      EXPECT_EQ(ge.slot_of(gid), ghosts);
+      EXPECT_EQ(ge.deposit_slot_index(gid), ghosts);
+      EXPECT_EQ(ge.resolve(gid), d);
+      ++ghosts;
+    }
+  }
+  EXPECT_EQ(ge.entries(), ghosts);
+  EXPECT_EQ(ge.entries(), g.nodes() - lg.owned());
+}
+
+TEST_P(GhostPolicies, OwnedEntriesSurviveIterations) {
+  GridDesc g(8, 8);
+  const auto part = GridPartition::block(g, 2, 2);
+  LocalGrid lg(part, 0);
+  GhostExchange ge(lg, GetParam());
+  for (int it = 0; it < 10; ++it) {
+    ge.begin_iteration();
+    // Touch the other ranks' nodes from a different start each time, so
+    // every iteration creates and resets a different slot order.
+    std::uint32_t ghosts = 0;
+    for (std::uint64_t k = 0; k < g.nodes(); ++k) {
+      const std::uint64_t gid = (k + 7 * static_cast<std::uint64_t>(it)) %
+                                g.nodes();
+      if (lg.owns(gid)) continue;
+      ge.deposit_data(ge.resolve(gid) - ge.owned())[0] += 1.0;
+      ++ghosts;
+    }
+    ASSERT_EQ(ge.entries(), ghosts) << "iteration " << it;
+    for (std::size_t l = 0; l < lg.owned(); ++l) {
+      const auto gid = lg.gid_of(l);
+      ASSERT_EQ(ge.resolve(gid), l) << "iteration " << it << " gid " << gid;
+      ASSERT_EQ(ge.slot_of(gid), GhostExchange::kNoSlot)
+          << "iteration " << it << " gid " << gid;
+    }
+    ASSERT_EQ(ge.entries(), ghosts) << "owned nodes took a slot";
+  }
+}
+
+TEST_P(GhostPolicies, DepositSlotIndexRejectsOwnedNode) {
+  GridDesc g(8, 8);
+  const auto part = GridPartition::block(g, 2, 2);
+  LocalGrid lg(part, 0);
+  GhostExchange ge(lg, GetParam());
+  ge.begin_iteration();
+  const auto gid = lg.gid_of(3);
+  EXPECT_THROW(ge.deposit_slot_index(gid), std::logic_error);
+  EXPECT_THROW(ge.deposit_slot(gid), std::logic_error);
+  EXPECT_EQ(ge.entries(), 0u);
+  // The rejected call left the owned entry as it was, also after a reset.
+  ge.begin_iteration();
+  EXPECT_EQ(ge.resolve(gid), 3u);
+  EXPECT_EQ(ge.slot_of(gid), GhostExchange::kNoSlot);
+  EXPECT_EQ(ge.entries(), 0u);
+}
+
+TEST_P(GhostPolicies, RecordHoldsUntilTheNextIteration) {
+  GridDesc g(8, 8);
+  const auto part = GridPartition::block(g, 2, 2);
+  LocalGrid lg(part, 0);
+  GhostExchange ge(lg, GetParam());
+  EXPECT_THROW(ge.recorded(0), std::logic_error) << "nothing recorded yet";
+  ge.begin_iteration();
+  std::uint32_t* rec = ge.record(3);
+  for (std::uint32_t k = 0; k < 12; ++k) rec[k] = k;
+  ASSERT_EQ(ge.recorded(3), rec);
+  EXPECT_EQ(ge.recorded(3)[11], 11u);
+  EXPECT_THROW(ge.recorded(2), std::logic_error);
+  EXPECT_THROW(ge.recorded(4), std::logic_error);
+  ge.begin_iteration();
+  EXPECT_THROW(ge.recorded(3), std::logic_error);
+  ge.record(0);
+  EXPECT_NO_THROW(ge.recorded(0));
+}
+
+TEST_P(GhostPolicies, MemoryBytesCountsTheRecord) {
+  GridDesc g(8, 8);
+  const auto part = GridPartition::block(g, 2, 2);
+  LocalGrid lg(part, 0);
+  GhostExchange ge(lg, GetParam());
+  ge.begin_iteration();
+  const std::size_t before = ge.memory_bytes();
+  ge.record(1000);
+  const std::size_t after = ge.memory_bytes();
+  EXPECT_EQ(after - before, 4 * 1000 * sizeof(std::uint32_t));
+  // The capacity persists: a smaller record and a new iteration reuse it.
+  ge.record(10);
+  EXPECT_EQ(ge.memory_bytes(), after);
+  ge.begin_iteration();
+  EXPECT_EQ(ge.memory_bytes(), after);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, GhostPolicies,

@@ -50,9 +50,11 @@ TEST_P(LocalGridDecomp, LocalIndexingIsConsistent) {
       // no local index; so do ids past the grid.
       std::set<std::uint64_t> mine;
       for (std::size_t l = 0; l < lg.total(); ++l) mine.insert(lg.gid_of(l));
-      for (std::uint64_t gid = 0; gid < g.nodes() + 3; ++gid)
-        if (!mine.count(gid))
+      for (std::uint64_t gid = 0; gid < g.nodes() + 3; ++gid) {
+        if (!mine.count(gid)) {
           EXPECT_EQ(lg.local_of(gid), kNoLocal) << "rank " << r << " gid " << gid;
+        }
+      }
     }
   }
 }

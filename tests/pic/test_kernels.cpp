@@ -7,6 +7,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/indexing.hpp"
@@ -29,9 +32,13 @@ using particles::LocalFields;
 using particles::ParticleArray;
 using particles::ParticleRec;
 
-/// Particle counts around the block size: empty, vector tails, exactly
-/// one block, one past it, and many blocks with a partial last one.
-constexpr std::size_t kCounts[] = {0, 1, 2, 3, 63, 64, 65, 1000};
+/// Particle counts around the block size (32): empty, vector tails,
+/// exactly one and two blocks, one short of and one past each, and many
+/// blocks with a partial last one.
+constexpr std::size_t kCounts[] = {0, 1, 2, 3, 31, 32, 33, 63, 64, 65, 1000};
+
+constexpr core::DedupPolicy kPolicies[] = {core::DedupPolicy::kHash,
+                                           core::DedupPolicy::kDirect};
 
 bool same_bits(const double* a, const double* b, std::size_t n) {
   return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
@@ -48,8 +55,9 @@ ParticleArray two_species() {
 }
 
 /// n particles with relativistic momenta (gamma up to about 10). Runs of
-/// four share a cell, as along a sorted curve, so the stencil memo both
-/// hits and misses. key = species id (alternating when multi-species).
+/// four share a cell, as along a sorted curve, so ghost slots are both
+/// created and found again. key = species id (alternating when
+/// multi-species).
 ParticleArray random_particles(std::size_t n, std::uint64_t seed,
                                const GridDesc& g, bool multi) {
   ParticleArray p = multi ? two_species() : ParticleArray(-1.0, 1.0);
@@ -194,10 +202,46 @@ TEST(KernelBlocks, AdvanceMatchesAdvancePosition) {
   }
 }
 
+TEST(KernelBlocks, QuotientsAndSharedStencilMatchCicStencil) {
+  const GridDesc g(16, 8, 1.6, 0.8);
+  const double dx = g.dx(), dy = g.dy();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // In range, on both edges, and what a memory fault can leave behind.
+  const double xs[] = {0.0,  -0.0,   std::nextafter(g.lx, 0.0), g.lx, -0.5,
+                       1e300, -1e300, inf,                       -inf, nan};
+  const double ys[] = {0.0,  -0.0,   std::nextafter(g.ly, 0.0), g.ly, -0.5,
+                       1e300, -1e300, inf,                       -inf, nan};
+  constexpr std::size_t kSpecial = sizeof(xs) / sizeof(xs[0]);
+  for (const std::size_t n : {0u, 1u, 31u, 32u, 33u, 1000u}) {
+    const ParticleArray p = random_particles(n, 83 + n, g, false);
+    std::vector<double> x = p.x, y = p.y;
+    // Special values in x, in y and in both, cycling through all of them.
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t s = (i / 3) % kSpecial;
+      if (i % 3 != 1) x[i] = xs[s];
+      if (i % 3 != 0) y[i] = ys[(s + i) % kSpecial];
+    }
+    std::vector<double> gx(n), gy(n);
+    quotients_block(n, dx, dy, x.data(), y.data(), gx.data(), gy.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const double qx = x[i] / dx, qy = y[i] / dy;
+      ASSERT_TRUE(same_bits(&gx[i], &qx, 1) && same_bits(&gy[i], &qy, 1))
+          << "n=" << n << " i=" << i;
+      const auto a = particles::cic_stencil_of_quotients(g, gx[i], gy[i]);
+      const auto b = particles::cic_stencil(g, x[i], y[i]);
+      static_assert(sizeof(a) == 4 * 8 + 4 * 8, "no padding to compare");
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(a)), 0)
+          << "n=" << n << " i=" << i << " x=" << x[i] << " y=" << y[i];
+      for (const auto node : a.node) EXPECT_LT(node, g.nodes());
+    }
+  }
+}
+
 // --------------------------------------------------------------- kernels
 
-/// The deposit loop before the block passes, without the stencil memo
-/// (the memo changes no value and no first-touch order).
+/// The deposit loop before the block passes, resolving every vertex
+/// through the local grid and deposit_slot.
 void reference_deposit(const GridDesc& grid, const ParticleArray& p,
                        const LocalGrid& lg, FieldState& f,
                        GhostExchange& ghosts) {
@@ -232,34 +276,54 @@ TEST(Kernels, DepositMatchesPerParticleLoop) {
   const GridDesc g(16, 8, 1.6, 0.8);
   const auto part = GridPartition::block(g, 2, 2);
   const LocalGrid lg(part, 0);
-  for (const bool multi : {false, true}) {
-    for (const std::size_t n : kCounts) {
-      const ParticleArray p = random_particles(n, 41 + n, g, multi);
-      FieldState f1(lg), f2(lg);
-      GhostExchange g1(lg, core::DedupPolicy::kHash);
-      GhostExchange g2(lg, core::DedupPolicy::kHash);
-      g1.begin_iteration();
-      g2.begin_iteration();
-      deposit(g, p, lg, f1, g1);
-      reference_deposit(g, p, lg, f2, g2);
-      EXPECT_TRUE(same_bits(f1.jx, f2.jx) && same_bits(f1.jy, f2.jy) &&
-                  same_bits(f1.jz, f2.jz) && same_bits(f1.rho, f2.rho))
-          << "owned sums differ, multi=" << multi << " n=" << n;
-      ASSERT_EQ(g1.entries(), g2.entries());
-      if (n >= 64) {
-        EXPECT_GT(g1.entries(), 0u) << "no ghost vertex exercised";
+  for (const auto policy : kPolicies) {
+    for (const bool multi : {false, true}) {
+      for (const std::size_t n : kCounts) {
+        SCOPED_TRACE(std::string("policy=") + core::dedup_policy_name(policy) +
+                     " multi=" + std::to_string(multi) +
+                     " n=" + std::to_string(n));
+        const ParticleArray p = random_particles(n, 41 + n, g, multi);
+        FieldState f1(lg), f2(lg);
+        GhostExchange g1(lg, policy);
+        GhostExchange g2(lg, policy);
+        g1.begin_iteration();
+        g2.begin_iteration();
+        deposit(g, p, f1, g1);
+        reference_deposit(g, p, lg, f2, g2);
+        EXPECT_TRUE(same_bits(f1.jx, f2.jx) && same_bits(f1.jy, f2.jy) &&
+                    same_bits(f1.jz, f2.jz) && same_bits(f1.rho, f2.rho))
+            << "owned sums differ";
+        ASSERT_EQ(g1.entries(), g2.entries());
+        if (n >= 64) {
+          EXPECT_GT(g1.entries(), 0u) << "no ghost vertex exercised";
+        }
+        for (std::uint64_t gid = 0; gid < g.nodes(); ++gid)
+          ASSERT_EQ(g1.slot_of(gid), g2.slot_of(gid)) << "ghost entry order";
+        for (std::uint32_t s = 0; s < g1.entries(); ++s)
+          EXPECT_TRUE(same_bits(g1.deposit_data(s), g2.deposit_data(s),
+                                GhostExchange::kDeposit))
+              << "ghost sums differ";
+        // The record names each vertex's owned local index or
+        // owned() + its ghost slot.
+        const std::uint32_t* rec = g1.recorded(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto st = particles::cic_stencil(g, p.x[i], p.y[i]);
+          for (int k = 0; k < 4; ++k) {
+            const auto gid = st.node[k];
+            const std::uint32_t want =
+                lg.owns(gid) ? lg.local_of(gid)
+                             : g1.owned() + g2.slot_of(gid);
+            ASSERT_EQ(rec[4 * i + static_cast<std::size_t>(k)], want)
+                << "i=" << i << " k=" << k;
+          }
+        }
       }
-      for (std::uint64_t gid = 0; gid < g.nodes(); ++gid)
-        ASSERT_EQ(g1.slot_of(gid), g2.slot_of(gid)) << "ghost entry order";
-      for (std::uint32_t s = 0; s < g1.entries(); ++s)
-        EXPECT_TRUE(same_bits(g1.deposit_data(s), g2.deposit_data(s),
-                              GhostExchange::kDeposit))
-            << "ghost sums differ, multi=" << multi << " n=" << n;
     }
   }
 }
 
-/// The gather + kick loop before the block passes, without the memo.
+/// The gather + kick loop before the block passes, resolving every vertex
+/// again through the local grid and slot_of.
 void reference_gather_kick(const GridDesc& grid, double dt,
                            const scenario::DriverSpec* driver, double t,
                            ParticleArray& p, const LocalGrid& lg,
@@ -305,49 +369,90 @@ TEST(Kernels, GatherKickMatchesPerParticleLoop) {
   drive.amp = 0.8;
   drive.omega = 0.3;
   const double dt = 0.35;
-  for (const bool multi : {false, true}) {
-    for (const bool driven : {false, true}) {
-      for (const std::size_t n : kCounts) {
-        std::vector<int> mismatches(4, -1);
-        sim::Machine m(4, sim::CostModel::zero());
-        m.run([&](sim::Comm& c) {
-          const LocalGrid lg(part, c.rank());
-          FieldState f(lg);
-          Rng rng(7 + static_cast<std::uint64_t>(c.rank()));
-          for (std::size_t l = 0; l < lg.owned(); ++l) {
-            f.ex[l] = rng.normal();
-            f.ey[l] = rng.normal();
-            f.ez[l] = rng.normal();
-            f.bx[l] = rng.normal();
-            f.by[l] = rng.normal();
-            f.bz[l] = rng.normal();
-          }
-          GhostExchange ghosts(lg, core::DedupPolicy::kHash);
-          ghosts.begin_iteration();
-          ParticleArray p = random_particles(
-              n, 53 + n + static_cast<std::uint64_t>(c.rank()), g, multi);
-          deposit(g, p, lg, f, ghosts);
-          ghosts.flush_scatter(c, f);
-          ghosts.fetch_fields(c, f);
-          ParticleArray ref = p;
-          const scenario::DriverSpec* d = driven ? &drive : nullptr;
-          gather_kick(g, dt, d, 1.25, p, lg, f, ghosts);
-          reference_gather_kick(g, dt, d, 1.25, ref, lg, f, ghosts);
-          int bad = 0;
-          for (std::size_t i = 0; i < n; ++i)
-            bad += same_bits(&p.ux[i], &ref.ux[i], 1) &&
-                           same_bits(&p.uy[i], &ref.uy[i], 1) &&
-                           same_bits(&p.uz[i], &ref.uz[i], 1)
-                       ? 0
-                       : 1;
-          mismatches[static_cast<std::size_t>(c.rank())] = bad;
-        });
-        for (int r = 0; r < 4; ++r)
-          EXPECT_EQ(mismatches[static_cast<std::size_t>(r)], 0)
-              << "rank " << r << " multi=" << multi << " driven=" << driven
-              << " n=" << n;
+  for (const auto policy : kPolicies) {
+    for (const bool multi : {false, true}) {
+      for (const bool driven : {false, true}) {
+        for (const std::size_t n : kCounts) {
+          std::vector<int> mismatches(4, -1);
+          sim::Machine m(4, sim::CostModel::zero());
+          m.run([&](sim::Comm& c) {
+            const LocalGrid lg(part, c.rank());
+            FieldState f(lg);
+            Rng rng(7 + static_cast<std::uint64_t>(c.rank()));
+            for (std::size_t l = 0; l < lg.owned(); ++l) {
+              f.ex[l] = rng.normal();
+              f.ey[l] = rng.normal();
+              f.ez[l] = rng.normal();
+              f.bx[l] = rng.normal();
+              f.by[l] = rng.normal();
+              f.bz[l] = rng.normal();
+            }
+            GhostExchange ghosts(lg, policy);
+            ghosts.begin_iteration();
+            ParticleArray p = random_particles(
+                n, 53 + n + static_cast<std::uint64_t>(c.rank()), g, multi);
+            deposit(g, p, f, ghosts);
+            ghosts.flush_scatter(c, f);
+            ghosts.fetch_fields(c, f);
+            ParticleArray ref = p;
+            const scenario::DriverSpec* d = driven ? &drive : nullptr;
+            gather_kick(g, dt, d, 1.25, p, f, ghosts);
+            reference_gather_kick(g, dt, d, 1.25, ref, lg, f, ghosts);
+            int bad = 0;
+            for (std::size_t i = 0; i < n; ++i)
+              bad += same_bits(&p.ux[i], &ref.ux[i], 1) &&
+                             same_bits(&p.uy[i], &ref.uy[i], 1) &&
+                             same_bits(&p.uz[i], &ref.uz[i], 1)
+                         ? 0
+                         : 1;
+            mismatches[static_cast<std::size_t>(c.rank())] = bad;
+          });
+          for (int r = 0; r < 4; ++r)
+            EXPECT_EQ(mismatches[static_cast<std::size_t>(r)], 0)
+                << "rank " << r
+                << " policy=" << core::dedup_policy_name(policy)
+                << " multi=" << multi << " driven=" << driven << " n=" << n;
+        }
       }
     }
+  }
+}
+
+TEST(Kernels, GatherKickRejectsAStaleRecord) {
+  // One rank owns every node, so an accepted gather needs no fetch_fields.
+  const GridDesc g(16, 8, 1.6, 0.8);
+  const auto part = GridPartition::block(g, 1, 1);
+  const LocalGrid lg(part, 0);
+  for (const auto policy : kPolicies) {
+    SCOPED_TRACE(core::dedup_policy_name(policy));
+    FieldState f(lg);
+    GhostExchange ghosts(lg, policy);
+    ParticleArray p = random_particles(40, 71, g, false);
+    const ParticleArray before = p;
+
+    // No deposit yet.
+    EXPECT_THROW(gather_kick(g, 0.1, nullptr, 0.0, p, f, ghosts),
+                 std::logic_error);
+
+    // A deposit of other particles than the gather's.
+    ghosts.begin_iteration();
+    deposit(g, p, f, ghosts);
+    p.push_back(p.rec(0));
+    EXPECT_THROW(gather_kick(g, 0.1, nullptr, 0.0, p, f, ghosts),
+                 std::logic_error);
+    p.truncate(before.size());
+
+    // A deposit from the previous iteration.
+    ghosts.begin_iteration();
+    EXPECT_THROW(gather_kick(g, 0.1, nullptr, 0.0, p, f, ghosts),
+                 std::logic_error);
+    EXPECT_TRUE(same_bits(p.ux, before.ux) && same_bits(p.uy, before.uy) &&
+                same_bits(p.uz, before.uz))
+        << "a rejected gather must not kick";
+
+    // A fresh record is accepted again.
+    deposit(g, p, f, ghosts);
+    EXPECT_NO_THROW(gather_kick(g, 0.1, nullptr, 0.0, p, f, ghosts));
   }
 }
 

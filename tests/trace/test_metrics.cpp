@@ -51,8 +51,11 @@ TEST(Histogram, EveryBucketBoundaryIsExact) {
     ASSERT_EQ(h.buckets.size(), kHistogramBuckets);
     EXPECT_EQ(h.buckets[k], 2u) << "bucket " << k << " lo=" << lo
                                 << " hi=" << hi;
-    for (std::size_t j = 0; j < kHistogramBuckets; ++j)
-      if (j != k) EXPECT_EQ(h.buckets[j], 0u) << "bucket " << j << " vs " << k;
+    for (std::size_t j = 0; j < kHistogramBuckets; ++j) {
+      if (j != k) {
+        EXPECT_EQ(h.buckets[j], 0u) << "bucket " << j << " vs " << k;
+      }
+    }
 
     // One past the top of bucket k belongs to bucket k+1.
     if (k >= 1 && k < 64) {

@@ -1,7 +1,7 @@
 // picpar_sweep — run a declarative parameter grid through the sweep
 // service (src/sweep) with content-addressed result caching.
 //
-//   picpar_sweep --grid fig16.grid --cache /tmp/picpar-cache \
+//   picpar_sweep --grid fig16.grid --cache /tmp/picpar-cache
 //                --jobs 0 --csv fig16.csv
 //
 // Reads the grid file (see src/sweep/grid.hpp for the format), expands it
