@@ -85,9 +85,9 @@ void Analyzer::add_finding(Finding f) {
 }
 
 void Analyzer::on_send(Message& m, const sim::SendEvent& e) {
-  // Runs on the sender's thread with no lock held (the parallel engine
-  // calls build_send outside its mutex): only rank e.src state may be
-  // touched here. Cross-rank checks are deferred to on_run_end.
+  // Runs on the sender's worker with no lock held (build_send runs outside
+  // the engine mutex): only rank e.src state may be touched here.
+  // Cross-rank checks are deferred to on_run_end.
   auto& clk = clocks_[static_cast<std::size_t>(e.src)];
   clk.tick(e.src);
   m.vclock = clk.components();
@@ -123,9 +123,9 @@ void Analyzer::on_send(Message& m, const sim::SendEvent& e) {
 
 void Analyzer::on_recv(const Message& m, const sim::RecvEvent& e,
                        const std::deque<Message>& mailbox) {
-  // The mailbox snapshot is wall-clock-schedule-dependent under the
-  // parallel engine (sends from running ranks enqueue at arbitrary real
-  // times), so no finding may be derived from it; race candidates come
+  // The mailbox snapshot is wall-clock-schedule-dependent with several
+  // workers (sends from running ranks enqueue at arbitrary real times), so
+  // no finding may be derived from it; race candidates come
   // from the consume log + final mailboxes at on_run_end instead.
   (void)mailbox;
   auto& clk = clocks_[static_cast<std::size_t>(e.rank)];
@@ -347,7 +347,7 @@ void Analyzer::on_run_end(
   // Quiescence: every rank is done, per-rank buffers are stable, and the
   // final mailboxes hold the never-consumed messages. Merge in rank order
   // so findings, counts, and the report are deterministic — and identical
-  // between the sequential and parallel engines.
+  // at every worker count.
   events_ = 0;
   static const std::deque<Message> kEmpty;
   for (int r = 0; r < nranks_; ++r) {

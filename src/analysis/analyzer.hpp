@@ -20,10 +20,10 @@
 // happens-before DAG; two runs of a deterministic program produce the same
 // fingerprint (see analysis/audit.hpp for the two-run audit).
 //
-// Execution-mode independence: the analyzer works identically under the
-// sequential reference scheduler and the parallel engine (src/runtime).
-// Every callback touches only the state of the rank it fires on — on_send
-// runs on the sender's thread outside any engine lock, so nothing in it may
+// Worker-count independence: the analyzer works identically with one
+// worker and with several (sim::Machine::set_workers). Every callback
+// touches only the state of the rank it fires on — on_send runs on the
+// sender's worker outside the engine mutex, so nothing in it may
 // look across ranks — and all cross-rank analysis (race detection against
 // later-consumed or never-consumed messages) is deferred to on_run_end,
 // the quiescence point, where per-rank buffers are merged in rank order.
@@ -165,7 +165,7 @@ private:
 
   /// Everything one rank's callbacks may write. Callbacks on rank r touch
   /// only rank_[r] (and clocks_[r]) — the invariant that makes the
-  /// analyzer safe under the parallel engine with no locking of its own.
+  /// analyzer safe with several workers and no locking of its own.
   struct RankBuffer {
     std::uint64_t fp = 0;
     std::uint64_t events = 0;

@@ -23,8 +23,8 @@ struct CicStencil {
 /// out-of-range position (DESIGN.md §18).
 inline CicStencil cic_stencil_of_quotients(const mesh::GridDesc& g,
                                            double gx, double gy) {
-  auto cx = static_cast<std::uint32_t>(gx);
-  auto cy = static_cast<std::uint32_t>(gy);
+  auto cx = mesh::cell_coord(gx);
+  auto cy = mesh::cell_coord(gy);
   if (cx >= g.nx) cx = g.nx - 1;
   if (cy >= g.ny) cy = g.ny - 1;
   const double fx = gx - static_cast<double>(cx);

@@ -104,14 +104,15 @@ struct TraceParams {
   bool on() const { return enabled || !path.empty() || !metrics_path.empty(); }
 };
 
-/// Execution engine selection for the simulated machine. Sequential is
-/// the reference scheduler; parallel runs ranks concurrently on real cores
-/// through src/runtime with bit-identical results (the PICPAR_PARALLEL
-/// environment variable — set, not "0" — also selects it without a
-/// rebuild, and PICPAR_WORKERS overrides the worker count).
+/// Worker threads for the simulated machine (sim::Machine::set_workers).
+/// By default one worker, the calling thread, runs every rank. `parallel`
+/// (or the PICPAR_PARALLEL environment variable, set and not "0") runs
+/// the ranks in contiguous blocks on several worker threads, with
+/// bit-identical results; PICPAR_WORKERS overrides `workers`.
 struct ExecParams {
   bool parallel = false;
-  /// Max ranks executing concurrently; 0 = host hardware concurrency.
+  /// Worker threads when parallel; 0 = host hardware concurrency. Capped
+  /// at the rank count.
   int workers = 0;
 };
 
@@ -168,8 +169,8 @@ struct PicParams {
   /// Environment overrides that change run semantics (PICPAR_CRASH_*,
   /// PICPAR_ANALYZE, PICPAR_TRACE*) are folded in; `exec` and the
   /// PICPAR_PARALLEL/PICPAR_WORKERS variables are deliberately excluded —
-  /// the parallel engine is bit-identical to the sequential scheduler, so
-  /// execution mode never changes the result. Trace output *paths* are
+  /// runs are bit-identical at every worker count, so the worker count
+  /// never changes the result. Trace output *paths* are
   /// likewise excluded (they name sinks, not semantics); whether tracing is
   /// on is included. See fingerprint.cpp and DESIGN.md §13.
   std::string canonical() const;

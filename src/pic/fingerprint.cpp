@@ -3,9 +3,9 @@
 //
 // Contract (asserted by tests/pic/test_fingerprint.cpp):
 //   * every semantically meaningful field changes the bytes;
-//   * execution mode (ExecParams, PICPAR_PARALLEL/PICPAR_WORKERS) does not —
-//     parallel runs are bit-identical to sequential ones, so one cache entry
-//     serves both;
+//   * the worker count (ExecParams, PICPAR_PARALLEL/PICPAR_WORKERS) does
+//     not — runs are bit-identical at every worker count, so one cache
+//     entry serves all;
 //   * the bytes are host- and process-independent (std::to_chars shortest
 //     form for doubles, fixed key order, no addresses), so a fingerprint
 //     computed today matches one computed by another process next week.

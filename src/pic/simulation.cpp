@@ -20,7 +20,6 @@
 #include "mesh/maxwell.hpp"
 #include "mesh/poisson.hpp"
 #include "pic/kernels.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "scenario/scenario.hpp"
 #include "sfc/index_cache.hpp"
 #include "sim/comm.hpp"
@@ -148,9 +147,9 @@ struct RankOutput {
 /// first rank that needs a size builds it and every other rank reuses it;
 /// crash recovery asks for the survivors' smaller size. Entries are never
 /// erased, so the references handed out stay valid for the whole run.
-/// Mutex-guarded because the parallel engine's rank threads race to first
-/// use; nothing under the lock calls Comm, so a fiber never yields (and no
-/// rank thread parks) while holding it.
+/// Mutex-guarded because ranks on different workers race to first use;
+/// nothing under the lock calls Comm, so no fiber switches while holding
+/// it.
 struct PartitionTable {
   std::mutex mu;
   std::map<int, GridPartition> by_size;
@@ -221,7 +220,7 @@ struct CkptBuffer {
 /// after the shard seals completes — otherwise survivors could agree on a
 /// sequence number whose crashed writer left a missing or torn shard.
 struct CheckpointStore {
-  std::mutex mu;  ///< ranks write concurrently under the parallel engine
+  std::mutex mu;  ///< ranks on different workers write concurrently
   int committed_seq = -1;
   CkptBuffer buf[2];
 
@@ -371,7 +370,10 @@ PicResult run_pic(const PicParams& params) {
       {
         std::lock_guard<std::mutex> lk(store.mu);
         auto& b = store.buf[seq & 1];
-        if (b.seq != seq) {
+        // A take torn by a crash left its number to the survivors' next
+        // take, made by a smaller group: a group-size change starts the
+        // buffer afresh too, or the torn take's shards past p survive.
+        if (b.seq != seq || b.nshards != p) {
           b.seq = seq;
           b.iter = iter_done;
           b.nshards = p;
@@ -836,10 +838,9 @@ PicResult run_pic(const PicParams& params) {
 
   sim::Machine machine(params.nranks, params.machine, faults);
 
-  // ---- execution engine (default: sequential reference scheduler) ----
-  if (params.exec.parallel || runtime::parallel_env_enabled())
-    runtime::use_parallel(machine,
-                          runtime::ParallelConfig{params.exec.workers});
+  // ---- worker threads (default: one, the calling thread) ----
+  if (params.exec.parallel || sim::parallel_env_enabled())
+    machine.set_workers(sim::resolve_workers(params.exec.workers));
 
   // ---- opt-in happens-before analysis (zero cost when off) ----
   const bool analyze_on = params.analyze.enabled ||

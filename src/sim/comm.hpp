@@ -118,7 +118,7 @@ public:
 
   /// Bytes of per-peer transport state (sequence counters, dedup sets, link
   /// counters, crash acks) the machine holds for this rank. Sparse in the
-  /// peers actually touched and deterministic across execution modes, so
+  /// peers actually touched and identical at every worker count, so
   /// programs may fold it into exported metrics.
   std::size_t memory_bytes() const {
     return machine_->rank_transport_bytes(rank_);

@@ -1,9 +1,11 @@
-// Stackful user-space execution contexts for the sequential scheduler.
+// Stackful user-space execution contexts for the machine's scheduler.
 //
-// The sequential engine runs every simulated rank on the thread that calls
-// Machine::run, each rank on a stack of its own. Handing execution from one
-// rank to the next is a context switch on that thread (swapcontext), not a
-// wakeup of another OS thread through a mutex and a condition variable.
+// Every simulated rank runs on a stack of its own, on the thread of the
+// worker that owns its block of ranks (with one worker, the thread that
+// calls Machine::run). Handing execution from one rank of a block to the
+// next is a context switch on that thread (swapcontext), not a wakeup of
+// another OS thread through a mutex and a condition variable. A fiber
+// never migrates: it always resumes on the thread it first ran on.
 //
 // Besides the registers and the stack, a switch carries the state that the
 // C++ runtime and the sanitizers keep per thread:
@@ -28,7 +30,7 @@ public:
   using Entry = void (*)(void* arg);
 
   /// The calling thread's own context. It owns no stack; it is the place
-  /// the scheduler switches away from and back to.
+  /// a worker switches away from and back to.
   Fiber();
   /// A suspended context that runs entry(arg) on a fresh stack of at least
   /// `stack_bytes` (plus one guard page) the first time it is switched to.

@@ -1,5 +1,5 @@
-// The receives the sequential scheduler found held back by the lower-bound
-// rule, ordered the way a global stall resolves them (Machine::stall_pick).
+// The receives the scheduler found held back by the lower-bound rule,
+// ordered the way a global stall resolves them (Machine::resolve_stall).
 #pragma once
 
 #include <cstdint>

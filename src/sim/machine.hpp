@@ -1,18 +1,22 @@
 // A deterministic simulated multicomputer.
 //
 // Each simulated processor ("rank") runs the same SPMD program on its own
-// fiber — a user-space stack on the thread that called run() — and exactly
-// one rank executes at a time, in deterministic round-robin order.
-// Communication calls park the calling rank when they must wait (a handoff
-// is a context switch to the next runnable rank); sends are buffered and
-// never block.
+// fiber, a user-space stack of its own. W worker threads run the fibers:
+// worker w owns one fixed, contiguous block of ranks and runs one of them
+// at a time, so a handoff between ranks of one block is a context switch
+// on that worker's thread. At W = 1 (the default) the only worker is the
+// thread that called run(), which starts no thread. Communication calls
+// park the calling rank when they must wait; sends are buffered and never
+// block.
 //
 // Time is virtual: every rank owns a clock in seconds that advances through
 // explicit compute charges and through the two-level communication model
 // (CostModel). A blocking receive advances the receiver clock to
 // max(own clock, message arrival time), the standard per-process virtual
-// time rule. Wall-clock execution is sequential, so runs are exactly
-// reproducible regardless of host load.
+// time rule. Which message a receive takes is decided by the matching
+// layer from message contents and clocks alone, never from the order in
+// which workers happen to run, so every output is bit-identical at every
+// W and regardless of host load.
 #pragma once
 
 #include <atomic>
@@ -21,6 +25,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -32,27 +37,13 @@
 #include "sim/observer.hpp"
 #include "util/sparse_rank.hpp"
 
-namespace picpar::runtime {
-class ParallelEngine;  // src/runtime: executes ranks on real cores
-}
-
 namespace picpar::sim {
 
 class Comm;
 
-/// Execution policy for Machine::run. Sequential is the reference
-/// scheduler (one rank at a time, round-robin). Parallel executes ranks
-/// concurrently on real cores through an engine installed by the
-/// picpar_runtime library; the deterministic matching layer guarantees
-/// bit-identical results between the two modes.
-enum class ExecMode {
-  kSequential,
-  kParallel,
-};
-
-/// A rank's virtual-time clock. Written only by the owning rank; in
-/// parallel mode other ranks read it concurrently to bound the arrival
-/// time of messages the owner might still send. Clocks are monotone, so a
+/// A rank's virtual-time clock. Written only by the owning rank; ranks on
+/// other workers read it concurrently to bound the arrival time of
+/// messages the owner might still send. Clocks are monotone, so a
 /// stale read is a valid (conservative) lower bound — never an unsafe one.
 class VirtualClock {
 public:
@@ -206,27 +197,6 @@ struct RunResult {
   FaultCounters faults_total() const;
 };
 
-class Machine;
-
-/// Interface the parallel runtime installs for the duration of a parallel
-/// run. Machine's communication entry points delegate here, so blocking,
-/// mailbox locking, and wakeups go through the engine's scheduler instead
-/// of the sequential handoff protocol. Everything the hooks may touch on
-/// the Machine (candidate selection, commit, enqueue) is shared with the
-/// sequential path — the engines differ only in who runs when.
-class ParallelRuntimeHooks {
-public:
-  virtual ~ParallelRuntimeHooks() = default;
-  virtual void send(Machine& m, int src, int dst, int tag,
-                    Payload payload) = 0;
-  virtual Message recv(Machine& m, int rank, int src, int tag,
-                       bool fp_payload) = 0;
-  virtual bool iprobe(Machine& m, int rank, int src, int tag) = 0;
-  /// Park the rank in the membership barrier until the agreement completes
-  /// (see Machine::do_agree); returns the agreed view.
-  virtual MembershipView agree(Machine& m, int rank) = 0;
-};
-
 class Machine {
 public:
   Machine(int nranks, CostModel cost);
@@ -262,20 +232,12 @@ public:
   FaultModel& fault_model() { return faults_; }
   const FaultModel& fault_model() const { return faults_; }
 
-  /// Execution policy. Parallel mode additionally needs an engine: link
-  /// picpar_runtime and call runtime::use_parallel(machine) (or let
-  /// pic::run_pic plumb it). run() throws std::logic_error if parallel
-  /// mode is requested with no engine installed.
-  void set_exec_mode(ExecMode mode) { exec_mode_ = mode; }
-  ExecMode exec_mode() const { return exec_mode_; }
-
-  /// Install the parallel engine entry point (set by picpar_runtime; the
-  /// sim library itself has no thread-pool dependency). nullptr uninstalls.
-  void set_parallel_runner(
-      std::function<RunResult(Machine&, const std::function<void(Comm&)>&)>
-          runner) {
-    parallel_runner_ = std::move(runner);
-  }
+  /// Worker threads a run uses; values below 1 mean 1, the default. At 1
+  /// every rank runs on the thread that calls run(), which starts no
+  /// thread. At W > 1 run() starts W - 1 threads and runs the first block
+  /// itself; W is capped at size(). Results are identical at every W.
+  void set_workers(int workers) { workers_ = workers < 1 ? 1 : workers; }
+  int workers() const { return workers_; }
 
   /// Run an SPMD program to completion on all ranks; returns per-rank
   /// clocks and traffic. Throws DeadlockError on global deadlock and
@@ -287,7 +249,7 @@ public:
   /// link counters, crash acks) held by one rank — the machine's share of
   /// the per-rank memory budget. Size-based and a pure function of the
   /// messages the rank has sent/consumed, so the value is identical across
-  /// execution modes at the same program point. Callable from the owning
+  /// worker counts at the same program point. Callable from the owning
   /// rank during a run (reads only rank-owned state).
   std::size_t rank_transport_bytes(int rank) const;
   /// Number of distinct peers with transport state on `rank` (the "touched
@@ -296,7 +258,6 @@ public:
 
 private:
   friend class Comm;
-  friend class picpar::runtime::ParallelEngine;
 
   struct RankState {
     int id = 0;
@@ -339,8 +300,8 @@ private:
     bool membership_ready = false;
   };
 
-  // --- used by Comm (sequential: only the active rank executes; parallel:
-  //     delegated to the engine hooks, which serialize mailbox access) ---
+  // --- used by Comm. Cross-rank state (mailboxes, scheduler state, the
+  //     stall ladder) changes under the engine mutex at W > 1 ---
   void do_send(int src, int dst, int tag, Payload payload);
   Message do_recv(int rank, int src, int tag, bool fp_payload = false);
   bool do_iprobe(int rank, int src, int tag);
@@ -349,18 +310,17 @@ private:
   LinkStats& link_stats(RankState& rs, int src);
   void recover_corruption(int rank, const Message& m);
 
-  // --- fail-stop crash machinery (shared by both engines) ---
+  // --- fail-stop crash machinery ---
 
   /// Throw RankCrashed once the rank's own clock reaches its pre-drawn
   /// fail-stop time. Called at every communication and compute boundary, so
   /// crash points are rank-local and execution-order independent.
   void check_crash(int rank);
-  /// Engine catch handlers call this (under the engine's lock) when a
-  /// RankCrashed unwind reaches them.
+  /// Book a fail-stop once the rank's RankCrashed unwind has finished.
   void record_crash(int rank, double vtime);
   /// Lease-expiry detection: acknowledge every not-yet-acked crash on the
   /// calling rank, advance its clock past the latest lease, and throw
-  /// PeerFailedError. Runs under the engine's serialization.
+  /// PeerFailedError. Runs under the engine mutex.
   [[noreturn]] void throw_peer_failure(int rank);
   /// Lowest blocked rank that has not yet acknowledged every crash; -1 when
   /// none (stall-resolution step between force-commit and deadlock).
@@ -401,7 +361,7 @@ private:
     observer_->on_mark(ev);
   }
 
-  // --- deterministic matching layer (shared by both engines) ---
+  // --- deterministic matching layer ---
 
   /// The pending message a receive would commit: minimum key
   /// (arrival, src, seq, dup) over the per-source flow heads (the lowest
@@ -431,17 +391,6 @@ private:
   /// transport recovery, book stats, fire the observer.
   Message commit_recv(int rank, const Candidate& c, int src, int tag,
                       bool fp_payload);
-  /// Whether a parked receive may proceed (candidate exists and is safe,
-  /// source-pinned, or force-committed by stall resolution).
-  bool recv_deliverable(int rank);
-  /// Global stall: every live rank is blocked and nothing is safe. Returns
-  /// the receiver owning the globally minimal candidate (to force-commit:
-  /// no rank can send until something commits, so the conservative bound is
-  /// vacuously resolved in key order), or -1 = true deadlock. The
-  /// sequential scheduler reads the minimum of the candidates its probes
-  /// recorded, kept in key order (detail::HeldSet); the parallel engine
-  /// scans every mailbox.
-  int stall_pick();
 
   /// Sender-side half of do_send: charge, stats, envelope, observer,
   /// fault draws. Fills out[0..1] (a duplicated message yields two) and
@@ -453,29 +402,39 @@ private:
                  double* new_clock, bool* reorder_first);
   void enqueue_messages(Message out[2], int n, bool reorder_first);
 
-  // --- sequential scheduler (machine.cpp explains the ready set) ---
-  struct Sched;  // per-run fibers and ready set (keeps the header light)
-  void yield_from(int rank);       ///< hand execution to the next runnable rank
-  /// Next rank to run after `from` blocked or finished, resolving a global
-  /// stall if nobody is runnable; -1 when every rank is done or the stall
-  /// is a deadlock (deadlocked_ set, wait graph recorded).
-  int next_rank(int from);
-  int pick_next(int from);         ///< -1: none runnable
+  // --- scheduler (machine.cpp explains the blocks and the ready set) ---
+  struct Sched;      // per-run fibers, workers and ready set
+  class EngineLock;  // the engine mutex at W > 1, nothing at W = 1
+  /// Hand this worker to the next runnable rank of the block; called with
+  /// the lock held, returns with it held.
+  void yield_from(int rank, EngineLock& lk);
+  /// Next rank of from's block to run after `from` blocked or finished.
+  /// The worker sleeps while other workers run; when every worker is out
+  /// of work it resolves the stall. -1 when from's block is done or the
+  /// stall is a deadlock (deadlocked_ set, wait graph recorded).
+  int next_rank(int from, EngineLock& lk);
+  int pick_next(int from);         ///< -1: none of from's block runnable
+  /// The stall ladder, run once every worker is out of work: force-commit
+  /// the minimal held candidate, else elect a peer-failure victim, else
+  /// complete the membership barrier, else declare deadlock. Returns a
+  /// rank of from's block to run now, or -1.
+  int resolve_stall(int from);
   /// Probe whether a rank can run now; a wildcard receive held back by the
   /// lower-bound rule registers with the rank whose clock blocks it.
   bool runnable(RankState& rs);
   bool match(const Message& m, int src, int tag) const;
   static void fiber_entry(void* slot);
-  void rank_main(int rank);
-  /// Final switch out of a finished rank's fiber; does not return.
-  [[noreturn]] void leave(int rank);
+  /// Run the program on one rank; returns its fail-stop time if it crashed.
+  std::optional<double> rank_main(int rank);
+  /// Final bookkeeping and switch out of a finished rank's fiber.
+  [[noreturn]] void leave(int rank, std::optional<double> crash_vtime);
+  /// Body of worker thread w: runs its block's fibers until all are done.
+  void work(int w);
   std::string deadlock_report() const;
   std::vector<BlockedInfo> blocked_ranks() const;
 
-  // --- run scaffolding shared with the parallel engine ---
   void reset_run_state();
   RunResult collect_results();
-  RunResult run_sequential(const std::function<void(Comm&)>& program);
 
   int nranks_;
   CostModel cost_;
@@ -488,8 +447,8 @@ private:
   std::string deadlock_report_str_;
   std::vector<BlockedInfo> deadlock_blocked_;
 
-  Sched* sched_ = nullptr;          // non-null only during a sequential run
-  int live_ = 0;                    // ranks not yet done
+  int workers_ = 1;
+  Sched* sched_ = nullptr;          // non-null only during a run
   bool deadlocked_ = false;
   /// Rank allowed to commit its candidate past the safety rule (stall
   /// resolution); -1 = none. Cleared by the rank at commit.
@@ -508,15 +467,17 @@ private:
   /// Per-source flow-head scratch for find_candidate: sorted (src, mailbox
   /// position) pairs over the sources present in the scanned mailbox, so
   /// the scratch is O(distinct senders), not O(p). Capacity persists across
-  /// calls. Guarded by the engine's serialization (one rank running at a
-  /// time, or the parallel engine mutex).
+  /// calls. Guarded by the engine mutex.
   std::vector<std::pair<int, int>> scratch_heads_;
-
-  ExecMode exec_mode_ = ExecMode::kSequential;
-  std::function<RunResult(Machine&, const std::function<void(Comm&)>&)>
-      parallel_runner_;
-  /// Non-null only while a parallel run is in flight.
-  ParallelRuntimeHooks* prt_ = nullptr;
 };
+
+/// True when the PICPAR_PARALLEL environment variable selects parallel
+/// execution (set and not "0").
+bool parallel_env_enabled();
+
+/// Worker count for a parallel run: PICPAR_WORKERS when set (> 0), else
+/// `requested` when > 0, else the host's hardware concurrency. Machine
+/// caps it at the rank count.
+int resolve_workers(int requested);
 
 }  // namespace picpar::sim

@@ -2,9 +2,11 @@
 //
 // A MachineObserver sees every point-to-point event (collectives are built
 // from point-to-point messages, so it sees those too) in the exact order
-// the deterministic scheduler executes them. The sequential scheduler runs
-// one rank at a time on one thread, so callbacks are serialized — observers
-// need no internal locking.
+// the deterministic scheduler executes them. A rank's callbacks come from
+// one thread at a time, but with several workers (Machine::set_workers)
+// ranks of different blocks call back concurrently: an observer keeps
+// per-rank state and merges across ranks only at on_run_end, when every
+// rank has finished.
 //
 // The observer may stamp metadata onto an outgoing Message (vclock); the
 // machine itself never reads those fields, so an installed observer cannot

@@ -49,7 +49,7 @@ void Tracer::on_send(sim::Message& m, const sim::SendEvent& e) {
 
 void Tracer::on_recv(const sim::Message& m, const sim::RecvEvent& e,
                      const std::deque<sim::Message>& mailbox) {
-  // The mailbox snapshot is schedule-dependent under the parallel engine;
+  // The mailbox snapshot is schedule-dependent with several workers;
   // nothing recorded here may derive from it.
   (void)mailbox;
   RankBuf& b = bufs_[static_cast<std::size_t>(e.rank)];

@@ -60,7 +60,7 @@ inline constexpr const char* kMarkCrashRestored =
     "pic.crash_restored";  ///< rank 0, value = particles restored from ckpt
 // Per-subsystem memory-budget breakdown (every rank, per-run peak bytes).
 // All three are deterministic functions of the rank's event history, so the
-// derived gauges stay byte-identical across execution modes.
+// derived gauges stay byte-identical at every worker count.
 inline constexpr const char* kMarkMemMachine =
     "mem.machine_bytes";  ///< sparse per-peer transport tables
 inline constexpr const char* kMarkMemExchange =

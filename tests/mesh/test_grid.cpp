@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -71,6 +72,42 @@ TEST(GridDesc, NeighborsAreInvolutions) {
   for (std::uint64_t id = 0; id < g.nodes(); ++id) {
     EXPECT_EQ(g.west(g.east(id)), id);
     EXPECT_EQ(g.south(g.north(id)), id);
+  }
+}
+
+/// Quotients a faulted position can produce, with the cell coordinate each
+/// must give: what the default x86-64 code for a plain cast computed, now
+/// on every target and without undefined behaviour.
+struct CoordCase {
+  double q;
+  std::uint32_t coord;
+};
+const CoordCase kCoordCases[] = {
+    {0.0, 0},
+    {0.5, 0},
+    {-0.5, 0},
+    {-1.5, 4294967295u},
+    {-3e9, 1294967296u},
+    {4294967296.0 + 5.0, 5},
+    {1e15, 2764472320u},
+    {1e19, 0},
+    {-1e19, 0},
+    {1e300, 0},
+    {-1e300, 0},
+    {std::numeric_limits<double>::infinity(), 0},
+    {-std::numeric_limits<double>::infinity(), 0},
+    {std::numeric_limits<double>::quiet_NaN(), 0},
+    {9223372036854775808.0, 0},
+    {-9223372036854775808.0, 0},
+};
+
+TEST(GridDesc, CellCoordIsDefinedForEveryQuotient) {
+  const GridDesc g(8, 4);  // unit cells: x / dx == x
+  for (const CoordCase& c : kCoordCases) {
+    EXPECT_EQ(cell_coord(c.q), c.coord) << c.q;
+    const std::uint32_t cx = std::min(c.coord, g.nx - 1);
+    const std::uint32_t cy = std::min(c.coord, g.ny - 1);
+    EXPECT_EQ(g.cell_of(c.q, c.q), g.node_id(cx, cy)) << c.q;
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace picpar::particles {
 namespace {
@@ -52,6 +55,33 @@ TEST(CicStencil, NeighboursMatchModuloEverywhere) {
       EXPECT_EQ(st.node[2], g.node_id(cx, (cy + 1) % g.ny));
       EXPECT_EQ(st.node[3], g.node_id((cx + 1) % g.nx, (cy + 1) % g.ny));
     }
+  }
+}
+
+TEST(CicStencil, CellIsDefinedForEveryQuotient) {
+  // Quotients a faulted position can produce, with the cell coordinate
+  // each must give before the clamp (see mesh::cell_coord).
+  const GridDesc g(5, 3);
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double q;
+    std::uint32_t coord;
+  } cases[] = {
+      {0.0, 0},          {0.5, 0},
+      {-0.5, 0},         {-1.5, 4294967295u},
+      {-3e9, 1294967296u}, {4294967296.0 + 5.0, 5},
+      {1e15, 2764472320u}, {1e19, 0},
+      {-1e19, 0},        {1e300, 0},
+      {-1e300, 0},       {inf, 0},
+      {-inf, 0},         {std::numeric_limits<double>::quiet_NaN(), 0},
+      {9223372036854775808.0, 0}, {-9223372036854775808.0, 0},
+  };
+  for (const auto& c : cases) {
+    const auto st = cic_stencil_of_quotients(g, c.q, c.q);
+    const std::uint32_t cx = std::min(c.coord, g.nx - 1);
+    const std::uint32_t cy = std::min(c.coord, g.ny - 1);
+    EXPECT_EQ(st.node[0], g.node_id(cx, cy)) << c.q;
+    for (const auto node : st.node) EXPECT_LT(node, g.nodes()) << c.q;
   }
 }
 

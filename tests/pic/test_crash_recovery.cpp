@@ -158,6 +158,29 @@ TEST_F(CrashRecovery, CascadeOfTwoCrashes) {
   EXPECT_EQ(r.crash_restored_particles, r.crash_lost_particles);
 }
 
+// A crash inside a checkpoint write leaves that take torn; the survivors
+// resume from the last committed take, so their next take reuses the torn
+// one's sequence number with a smaller group. Rank 3's (and rank 7's)
+// iteration-3 write spans vtime 0.318668-0.318783 s here, and the second
+// crash forces a recovery from that next take: a shard of the torn take
+// past the new group size must not be restored with it. The
+// restored == lost check cannot see this (restored is booked as lost).
+TEST_F(CrashRecovery, CrashInsideACheckpointWriteThenAnotherCrash) {
+  auto p = base_params();
+  p.faults.crash_schedule = {{3, 0.3187}, {5, 0.5}};
+  const auto r = run_pic(p);
+  EXPECT_EQ(r.crash_count, 2);
+  EXPECT_EQ(r.final_particles, r.initial_particles);
+}
+
+TEST_F(CrashRecovery, CrashInsideTheLastShardsWriteThenAnotherCrash) {
+  auto p = base_params();
+  p.faults.crash_schedule = {{7, 0.3187}, {5, 0.5}};
+  const auto r = run_pic(p);
+  EXPECT_EQ(r.crash_count, 2);
+  EXPECT_EQ(r.final_particles, r.initial_particles);
+}
+
 TEST_F(CrashRecovery, CrashBeforeFirstCommitReinitializes) {
   // A crash so early that no checkpoint has committed: survivors restart
   // from the (deterministically regenerated) initial conditions on the

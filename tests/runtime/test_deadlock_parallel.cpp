@@ -1,19 +1,20 @@
-// Deadlock detection under the parallel scheduler. The hazard specific to
-// threads: a naive detector can scan "everyone blocked" while a worker is
-// a few instructions away from enqueueing the send that would unblock the
+// Deadlock detection with several workers. The hazard specific to threads:
+// a naive detector can scan "everyone blocked" while a worker is a few
+// instructions away from enqueueing the send that would unblock the
 // system. The engine only evaluates the stall rule under its mutex once
-// every rank is parked or finished, so that race cannot happen; these
-// fixtures seed both the false-alarm shape and real deadlocks and demand
-// the exact sequential behavior (including the structured wait graph).
+// every worker is out of work, so that race cannot happen; these fixtures
+// seed both the false-alarm shape and real deadlocks and demand the exact
+// one-worker behavior (including the structured wait graph).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <vector>
 
-#include "mode_compare.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
+#include "worker_counts.hpp"
 
 namespace picpar {
 namespace {
@@ -52,6 +53,19 @@ void expect_same_wait_graph(const std::vector<BlockedInfo>& a,
   }
 }
 
+/// Require the same wait graph at every worker count as with one worker.
+void expect_same_deadlock_at_worker_counts(
+    const std::vector<BlockedInfo>& seq_blocked,
+    const std::function<Machine*()>& make,
+    const std::function<void(Comm&)>& program) {
+  for (const int w : picpar::testing::kWorkerCounts) {
+    SCOPED_TRACE("workers=" + std::to_string(w));
+    std::unique_ptr<Machine> par(make());
+    par->set_workers(w);
+    expect_same_wait_graph(seq_blocked, run_expect_deadlock(*par, program));
+  }
+}
+
 TEST(ParallelDeadlock, CycleDeadlockMatchesSequential) {
   auto program = [](Comm& c) {
     // Every rank waits on its clockwise neighbor; nobody ever sends.
@@ -60,13 +74,27 @@ TEST(ParallelDeadlock, CycleDeadlockMatchesSequential) {
   Machine seq(4, CostModel::cm5());
   const auto seq_blocked = run_expect_deadlock(seq, program);
   ASSERT_EQ(seq_blocked.size(), 4u);
+  expect_same_deadlock_at_worker_counts(
+      seq_blocked, [] { return new Machine(4, CostModel::cm5()); }, program);
+}
 
-  for (int workers : {1, 2, 8}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    Machine par(4, CostModel::cm5());
-    runtime::use_parallel(par, runtime::ParallelConfig{workers});
-    expect_same_wait_graph(seq_blocked, run_expect_deadlock(par, program));
-  }
+// At p = 13 every block split is uneven. Half the ranks finish a ring
+// round first, the rest deadlock on a cycle with unmatched messages
+// pending, so the graph mixes done and blocked ranks across blocks.
+TEST(ParallelDeadlock, CycleDeadlockAtP13) {
+  auto program = [](Comm& c) {
+    const int n = c.size();
+    c.send_value((c.rank() + 1) % n, 1, c.rank());
+    (void)c.recv_value<int>((c.rank() + n - 1) % n, 1);
+    if (c.rank() % 2 == 0) return;
+    c.send_value((c.rank() + 2) % n, 8, c.rank());
+    (void)c.recv<int>((c.rank() + 2) % n, 9);
+  };
+  Machine seq(13, CostModel::cm5());
+  const auto seq_blocked = run_expect_deadlock(seq, program);
+  ASSERT_EQ(seq_blocked.size(), 6u);
+  expect_same_deadlock_at_worker_counts(
+      seq_blocked, [] { return new Machine(13, CostModel::cm5()); }, program);
 }
 
 TEST(ParallelDeadlock, PendingMailboxSizesSurviveIntoReport) {
@@ -81,9 +109,8 @@ TEST(ParallelDeadlock, PendingMailboxSizesSurviveIntoReport) {
   ASSERT_EQ(seq_blocked.size(), 3u);
   EXPECT_EQ(seq_blocked[1].mailbox_size, 1u);
 
-  Machine par(3, CostModel::cm5());
-  runtime::use_parallel(par, runtime::ParallelConfig{3});
-  expect_same_wait_graph(seq_blocked, run_expect_deadlock(par, program));
+  expect_same_deadlock_at_worker_counts(
+      seq_blocked, [] { return new Machine(3, CostModel::cm5()); }, program);
 }
 
 // The false-alarm shape: every other rank is already blocked while one
@@ -98,8 +125,8 @@ TEST(ParallelDeadlock, SlowSenderIsNotADeadlock) {
       EXPECT_EQ(c.recv_value<int>(0, 4), c.rank() * 11);
     }
   };
-  picpar::testing::run_both_modes(
-      [] { return new Machine(6, CostModel::cm5()); }, program, 4);
+  picpar::testing::run_at_worker_counts(
+      [] { return new Machine(6, CostModel::cm5()); }, program);
 }
 
 // Same shape, but the slow rank exits without sending: deadlock must be
@@ -117,9 +144,8 @@ TEST(ParallelDeadlock, SlowFinisherStillYieldsDeadlock) {
   const auto seq_blocked = run_expect_deadlock(seq, program);
   ASSERT_EQ(seq_blocked.size(), 3u);
 
-  Machine par(4, CostModel::cm5());
-  runtime::use_parallel(par, runtime::ParallelConfig{4});
-  expect_same_wait_graph(seq_blocked, run_expect_deadlock(par, program));
+  expect_same_deadlock_at_worker_counts(
+      seq_blocked, [] { return new Machine(4, CostModel::cm5()); }, program);
 }
 
 }  // namespace

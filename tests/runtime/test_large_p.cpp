@@ -1,16 +1,16 @@
-// Large-p scaling: the machine must stay bit-identical between the
-// sequential reference scheduler and the parallel engine at 512 and 1024
-// simulated ranks, including through fail-stop crash recovery — the world
-// sizes the sparse per-peer transport state exists for. Workloads are
+// Large-p scaling: the machine must stay bit-identical between one worker
+// and several at 512 and 1024 simulated ranks, including through fail-stop
+// crash recovery — the world sizes the sparse per-peer transport state
+// exists for. Workloads are
 // deliberately small per rank (the point is the rank count, not the work).
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "mode_compare.hpp"
 #include "pic/simulation.hpp"
 #include "sim/comm.hpp"
 #include "sim/faults.hpp"
+#include "worker_counts.hpp"
 
 namespace picpar {
 namespace {
@@ -36,13 +36,13 @@ void ring_allreduce_rounds(Comm& c, int rounds) {
 }
 
 TEST(LargeP, BitIdentityAt512) {
-  picpar::testing::run_both_modes(
+  picpar::testing::run_at_worker_counts(
       [] { return new Machine(512, CostModel::cm5()); },
       [](Comm& c) { ring_allreduce_rounds(c, 3); });
 }
 
 TEST(LargeP, BitIdentityAt1024) {
-  picpar::testing::run_both_modes(
+  picpar::testing::run_at_worker_counts(
       [] { return new Machine(1024, CostModel::cm5()); },
       [](Comm& c) { ring_allreduce_rounds(c, 2); });
 }
@@ -51,7 +51,7 @@ TEST(LargeP, CrashRecoveryBitIdentityAt512) {
   // One scheduled crash mid-run; survivors agree on membership and finish
   // on the shrunken group. The whole recovery trajectory — detection
   // times, purged state, post-shrink traffic — must be bit-identical
-  // across execution modes.
+  // across worker counts.
   const auto make = [] {
     FaultConfig cfg;
     cfg.crash_schedule = {{100, 3e-4}};
@@ -72,7 +72,7 @@ TEST(LargeP, CrashRecoveryBitIdentityAt512) {
       }
     }
   };
-  const auto run = picpar::testing::run_both_modes(make, program);
+  const auto run = picpar::testing::run_at_worker_counts(make, program);
   ASSERT_EQ(run.crashes.size(), 1u);
   EXPECT_EQ(run.crashes[0].rank, 100);
 }
@@ -80,7 +80,7 @@ TEST(LargeP, CrashRecoveryBitIdentityAt512) {
 TEST(LargeP, PicPipelineBitIdentityAt1024) {
   // Full PIC pipeline at 1024 ranks on a small mesh: ~2 cells and ~2
   // particles per rank. Physics and accounting must match exactly between
-  // modes; per-rank memory gauges are size-based and deterministic, so
+  // worker counts; per-rank memory gauges are size-based and deterministic, so
   // they are part of the comparison (via the machine reports).
   pic::PicParams p;
   p.grid = mesh::GridDesc{64, 32};

@@ -1,7 +1,7 @@
-// Mode equivalence: the parallel engine must produce bit-identical results
-// to the sequential reference scheduler — same PicResult (clocks, traffic,
-// physics, happens-before fingerprint), same delivery order, same analyzer
-// report — on every fixture, including runs with fault injection.
+// Worker-count equivalence: several workers must produce bit-identical
+// results to one — same PicResult (clocks, traffic, physics,
+// happens-before fingerprint), same delivery order, same analyzer report —
+// on every fixture, including runs with fault injection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,13 +11,12 @@
 
 #include "analysis/analyzer.hpp"
 #include "core/partitioner.hpp"
-#include "mode_compare.hpp"
 #include "pic/simulation.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "sfc/hilbert.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
 #include "util/rng.hpp"
+#include "worker_counts.hpp"
 
 namespace picpar {
 namespace {
@@ -120,8 +119,8 @@ TEST(ModeEquivalence, PicPipelineWithValidationAndMemoryFaults) {
 TEST(ModeEquivalence, PicPipelineThroughCrashRecovery) {
   // One scheduled crash shrinks the group from 8 ranks to 7, so the domains
   // are built from the run's shared grid-partition table at two group
-  // sizes. Under the parallel engine the rank threads race to first use of
-  // both entries; this is the test that puts that race in front of TSan.
+  // sizes. With several workers the ranks race to first use of both
+  // entries; this is the test that puts that race in front of TSan.
   for (const auto decomp :
        {pic::GridDecomp::kCurve, pic::GridDecomp::kBlock}) {
     SCOPED_TRACE(decomp == pic::GridDecomp::kCurve ? "curve" : "block");
@@ -157,8 +156,8 @@ TEST(ModeEquivalence, PicPipelineWithAnalyzerAttached) {
   expect_pic_identical(seq, par);
 }
 
-// The PR 2 determinism audit (two runs, fingerprint + event comparison)
-// must also pass when both runs execute on the parallel engine.
+// The determinism audit (two runs, fingerprint + event comparison) must
+// also pass when both runs execute on several workers.
 TEST(ModeEquivalence, DeterminismAuditPassesInParallelMode) {
   pic::PicParams p = small_pic();
   p.analyze.audit_determinism = true;
@@ -168,8 +167,8 @@ TEST(ModeEquivalence, DeterminismAuditPassesInParallelMode) {
 
 TEST(ModeEquivalence, SharedSplitterSortAtP64) {
   // distribute()'s sample sort runs once per call, by whichever rank reads
-  // the gathered samples first; here 64 rank threads race to it. Routing,
-  // balance and clocks must match the sequential run exactly.
+  // the gathered samples first; here ranks on 8 workers race to it.
+  // Routing, balance and clocks must match the one-worker run exactly.
   constexpr int p = 64;
   const mesh::GridDesc grid(32, 32);
   const sfc::HilbertCurve curve(32, 32);
@@ -178,7 +177,7 @@ TEST(ModeEquivalence, SharedSplitterSortAtP64) {
     std::vector<std::uint64_t> sent(p);
     std::vector<std::vector<std::uint64_t>> bounds(p);
     Machine m(p, CostModel::cm5());
-    if (parallel) runtime::use_parallel(m, runtime::ParallelConfig{8});
+    if (parallel) m.set_workers(8);
     const std::uint64_t sorts_before = core::splitter_sample_sorts();
     const auto res = m.run([&](Comm& c) {
       const auto r = static_cast<std::size_t>(c.rank());
@@ -238,7 +237,7 @@ TEST(ModeEquivalence, WildcardStressObservesIdenticalDeliverySequence) {
       }
     };
     std::unique_ptr<Machine> m(make());
-    if (parallel) runtime::use_parallel(*m, runtime::ParallelConfig{8});
+    if (parallel) m->set_workers(8);
     const auto res = m->run(program);
     return std::make_pair(seen, res);
   };
@@ -279,7 +278,31 @@ TEST(ModeEquivalence, WildcardStressUnderDupAndReorder) {
       }
     }
   };
-  picpar::testing::run_both_modes(make, program, 6);
+  picpar::testing::run_at_worker_counts(make, program);
+}
+
+// The same stress at p = 13, where every block split is uneven, and with
+// every rank both sending and receiving wildcards.
+TEST(ModeEquivalence, WildcardStressUnderDupAndReorderAtP13) {
+  auto make = [] {
+    FaultConfig fc;
+    fc.latency_jitter_prob = 0.4;
+    fc.latency_jitter_max_seconds = 1e-3;
+    fc.duplicate_prob = 0.3;
+    fc.reorder_prob = 0.3;
+    return new Machine(13, CostModel::cm5(), fc);
+  };
+  auto program = [](Comm& c) {
+    const int n = c.size();
+    const int r = c.rank();
+    for (int k = 0; k < 6; ++k) {
+      c.charge_ops(static_cast<std::uint64_t>((r * 29 + k * 11) % 50));
+      for (int d = 1; d <= 3; ++d) c.send_value((r + d * 4) % n, 2, k);
+      for (int d = 1; d <= 3; ++d) (void)c.recv<int>(sim::kAnySource, 2);
+    }
+    (void)c.allreduce_max(c.clock());
+  };
+  picpar::testing::run_at_worker_counts(make, program);
 }
 
 // Analyzer equality on a deliberately racy program: the parallel engine
@@ -299,7 +322,7 @@ TEST(ModeEquivalence, AnalyzerReportIsByteIdenticalAcrossModes) {
     Machine m(3, CostModel::cm5());
     analysis::Analyzer an;
     m.set_observer(&an);
-    if (parallel) runtime::use_parallel(m, runtime::ParallelConfig{3});
+    if (parallel) m.set_workers(3);
     (void)m.run(racy);
     return std::make_tuple(an.report(), an.total(), an.fingerprint(),
                            an.events());

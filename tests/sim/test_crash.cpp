@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "runtime/parallel_engine.hpp"
 #include "sim/comm.hpp"
 #include "sim/faults.hpp"
 
@@ -240,7 +239,7 @@ TEST(Crash, SequentialAndParallelRecoveryAreBitIdentical) {
       seq.run([&](Comm& c) { resilient_rounds(c, 500, ts[c.world_rank()]); });
 
   Machine par(p, CostModel::cm5(), cfg);
-  runtime::use_parallel(par);
+  par.set_workers(4);
   const auto b =
       par.run([&](Comm& c) { resilient_rounds(c, 500, tp[c.world_rank()]); });
 

@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "analysis/analyzer.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
 #include "trace/chrome_trace.hpp"
@@ -234,7 +233,7 @@ TEST(TracerModeEquivalence, ExportsAreByteIdentical) {
 
   const auto run_traced = [&](bool parallel) {
     Machine m(6, CostModel::cm5());
-    if (parallel) runtime::use_parallel(m, runtime::ParallelConfig{4});
+    if (parallel) m.set_workers(4);
     auto tracer = std::make_unique<Tracer>();
     m.set_observer(tracer.get());
     m.run(program);
