@@ -5,7 +5,6 @@
 
 #include "sfc/hilbert.hpp"
 #include "sfc/simple_curves.hpp"
-#include "sfc/skilling.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -55,18 +54,6 @@ void BM_HilbertCoords(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HilbertCoords);
-
-void BM_SkillingNdIndex(benchmark::State& state) {
-  const int dims = static_cast<int>(state.range(0));
-  Rng rng(11);
-  std::vector<std::uint32_t> coord(static_cast<std::size_t>(dims));
-  for (auto _ : state) {
-    for (auto& c : coord) c = static_cast<std::uint32_t>(rng.below(1u << 8));
-    benchmark::DoNotOptimize(sfc::hilbert_nd_index(coord, 8));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SkillingNdIndex)->Arg(2)->Arg(3)->Arg(4);
 
 }  // namespace
 

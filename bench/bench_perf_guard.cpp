@@ -7,23 +7,29 @@
 //
 // Checks:
 //   merge    merge_bucket_runs vs per-bucket runs + k-way heap merge_runs
-//   scatter  GhostExchange (generation-stamped hash + per-cell memo) vs
-//            per-particle unordered_map dedup with no memo
+//   scatter  pic::deposit under DedupPolicy::kDirect (run_pic's default) vs
+//            a per-particle CIC loop with unordered_map ghost dedup
 //   index    sfc::IndexCache table lookup vs per-call HilbertCurve::index
+//   memory   not timed: per-rank transport bytes must not grow with p
 //
-// Each check also verifies the two implementations produce identical
-// results, so the guard cannot pass by computing the wrong thing fast.
+// Each timed check also verifies the two implementations produce
+// identical results (bit for bit where they are floating point), so the
+// guard cannot pass by computing the wrong thing fast.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <unordered_map>
 #include <vector>
 
 #include "core/ghost_exchange.hpp"
 #include "core/sort_util.hpp"
+#include "mesh/partition.hpp"
+#include "particles/interpolate.hpp"
+#include "pic/kernels.hpp"
 #include "sfc/hilbert.hpp"
 #include "sfc/index_cache.hpp"
 #include "sim/machine.hpp"
@@ -117,7 +123,8 @@ bool check_merge() {
 // -------------------------------------------------------------- scatter --
 
 /// Pre-optimization ghost dedup: per-particle unordered_map probe for
-/// every stencil node, no per-cell memo, map rebuilt every iteration.
+/// every stencil node, map rebuilt every iteration. Slots are numbered in
+/// first-touch order, as GhostExchange numbers them.
 struct NaiveGhost {
   std::unordered_map<std::uint64_t, std::uint32_t> slots;
   std::vector<double> deposit;
@@ -134,63 +141,127 @@ struct NaiveGhost {
   }
 };
 
+/// The deposit as a per-particle loop: pic::deposit's CIC arithmetic, with
+/// owned nodes found through the local grid and ghost nodes through
+/// NaiveGhost.
+void reference_deposit(const mesh::GridDesc& grid, const ParticleArray& p,
+                       const mesh::LocalGrid& lg, mesh::FieldState& f,
+                       NaiveGhost& ghosts) {
+  const double inv_cell = 1.0 / (grid.dx() * grid.dy());
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const auto st = particles::cic_stencil(grid, p.x[i], p.y[i]);
+    const double gamma = p.gamma(i);
+    const double qv = p.charge_of(i) * inv_cell;
+    const double jx = qv * p.ux[i] / gamma;
+    const double jy = qv * p.uy[i] / gamma;
+    const double jz = qv * p.uz[i] / gamma;
+    for (int k = 0; k < 4; ++k) {
+      const double w = st.weight[k];
+      const auto l = lg.local_of(st.node[k]);
+      if (l != mesh::kNoLocal && l < lg.owned()) {
+        f.jx[l] += w * jx;
+        f.jy[l] += w * jy;
+        f.jz[l] += w * jz;
+        f.rho[l] += w * qv;
+      } else {
+        double* slot = ghosts.slot(st.node[k]);
+        slot[0] += w * jx;
+        slot[1] += w * jy;
+        slot[2] += w * jz;
+        slot[3] += w * qv;
+      }
+    }
+  }
+}
+
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
 bool check_scatter() {
-  // A rank-0 local grid; the particle stream walks non-owned cells in
-  // curve order with several particles per cell — the locality the memo
-  // exploits and the irregular-blob runs exhibit.
+  // Rank 0 of a 2 x 1 block partition owns the left half of the grid. The
+  // particles fill every cell in row-major order, several per cell, so
+  // half of them deposit into owned nodes and half into ghost slots that
+  // are created once and found again.
   mesh::GridDesc g(128, 64);
   const auto part = mesh::GridPartition::block(g, 2, 1);
-  mesh::LocalGrid lg(part, 0);
+  const mesh::LocalGrid lg(part, 0);
   constexpr int kPerCell = 8;
   constexpr int kIters = 20;
 
-  // (cell id, 4 stencil node gids) for every non-owned cell.
-  std::vector<std::array<std::uint64_t, 4>> cells;
-  for (std::uint32_t y = 0; y < g.ny - 1; ++y)
-    for (std::uint32_t x = 64; x < g.nx - 1; ++x)
-      cells.push_back({g.node_id(x, y), g.node_id(x + 1, y),
-                       g.node_id(x, y + 1), g.node_id(x + 1, y + 1)});
+  ParticleArray p(-1.0, 1.0);
+  Rng rng(53);
+  for (std::uint64_t cell = 0; cell < g.cells(); ++cell)
+    for (int k = 0; k < kPerCell; ++k) {
+      ParticleRec r;
+      r.x = (static_cast<double>(g.node_x(cell)) + rng.uniform()) * g.dx();
+      r.y = (static_cast<double>(g.node_y(cell)) + rng.uniform()) * g.dy();
+      r.ux = rng.normal(0.0, 0.3);
+      r.uy = rng.normal(0.0, 0.3);
+      r.uz = rng.normal(0.0, 0.3);
+      p.push_back(r);
+    }
 
+  mesh::FieldState f_ref(lg);
   NaiveGhost naive;
-  double sum_ref = 0.0;
-  const double ref = best_of(3, [&] {
-    sum_ref = 0.0;
+  const double ref = best_of(5, [&] {
     for (int it = 0; it < kIters; ++it) {
+      f_ref.clear_sources();
       naive.begin_iteration();
-      for (const auto& c : cells)
-        for (int p = 0; p < kPerCell; ++p)
-          for (int k = 0; k < 4; ++k) naive.slot(c[k])[3] += 0.25;
-      for (const double v : naive.deposit) sum_ref += v;
+      reference_deposit(g, p, lg, f_ref, naive);
     }
   });
 
-  core::GhostExchange ge(lg, core::DedupPolicy::kHash);
-  double sum_opt = 0.0;
-  const double opt = best_of(3, [&] {
-    sum_opt = 0.0;
+  // run_pic's default dedup policy.
+  mesh::FieldState f_opt(lg);
+  core::GhostExchange ge(lg, core::DedupPolicy::kDirect);
+  const double opt = best_of(5, [&] {
     for (int it = 0; it < kIters; ++it) {
+      f_opt.clear_sources();
       ge.begin_iteration();
-      std::uint64_t memo_cell = ~std::uint64_t{0};
-      std::uint32_t memo_idx[4] = {0, 0, 0, 0};
-      for (const auto& c : cells) {
-        if (c[0] != memo_cell) {
-          memo_cell = c[0];
-          for (int k = 0; k < 4; ++k)
-            memo_idx[k] = ge.deposit_slot_index(c[k]);
-        }
-        for (int p = 0; p < kPerCell; ++p)
-          for (int k = 0; k < 4; ++k) ge.deposit_data(memo_idx[k])[3] += 0.25;
-      }
-      for (std::uint32_t s = 0; s < ge.entries(); ++s)
-        sum_opt += ge.deposit_data(s)[3];
+      pic::deposit(g, p, f_opt, ge);
     }
   });
 
-  if (sum_ref != sum_opt) {
-    std::printf("scatter  FAIL: deposited sums differ (%f vs %f)\n", sum_ref,
-                sum_opt);
+  const std::size_t owned = lg.owned();
+  const bool owned_same = same_bits(f_ref.jx.data(), f_opt.jx.data(), owned) &&
+                          same_bits(f_ref.jy.data(), f_opt.jy.data(), owned) &&
+                          same_bits(f_ref.jz.data(), f_opt.jz.data(), owned) &&
+                          same_bits(f_ref.rho.data(), f_opt.rho.data(), owned);
+  if (!owned_same) {
+    std::printf("scatter  FAIL: owned sums differ\n");
     return false;
   }
+  if (ge.entries() != naive.slots.size() || ge.entries() == 0) {
+    std::printf("scatter  FAIL: %zu ghost slots vs %zu\n", ge.entries(),
+                naive.slots.size());
+    return false;
+  }
+  // Every ghost vertex the deposit recorded has the reference's
+  // first-touch slot number, and every slot the same four sums.
+  const std::uint32_t* rec = ge.recorded(p.size());
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const auto st = particles::cic_stencil(g, p.x[i], p.y[i]);
+    for (int k = 0; k < 4; ++k) {
+      const std::uint32_t d = rec[4 * i + static_cast<std::size_t>(k)];
+      if (d < ge.owned()) continue;
+      const auto it = naive.slots.find(st.node[k]);
+      if (it == naive.slots.end() || it->second != d - ge.owned()) {
+        std::printf("scatter  FAIL: ghost slot of node %llu differs\n",
+                    static_cast<unsigned long long>(st.node[k]));
+        return false;
+      }
+    }
+  }
+  for (std::uint32_t slot = 0; slot < ge.entries(); ++slot)
+    if (!same_bits(ge.deposit_data(slot),
+                   naive.deposit.data() +
+                       static_cast<std::size_t>(slot) *
+                           core::GhostExchange::kDeposit,
+                   core::GhostExchange::kDeposit)) {
+      std::printf("scatter  FAIL: sums of ghost slot %u differ\n", slot);
+      return false;
+    }
   return report("scatter", ref, opt);
 }
 

@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "sweep/grid.hpp"
 #include "sweep/pool.hpp"
 
 namespace picpar::bench {
@@ -20,22 +21,10 @@ Scale parse_scale(picpar::Cli& cli, int argc, const char* const* argv) {
 pic::PicParams paper_params(const std::string& scenario, std::uint32_t nx,
                             std::uint32_t ny, std::uint64_t particles,
                             int nranks) {
-  pic::PicParams p;
-  p.grid = mesh::GridDesc(nx, ny);
+  pic::PicParams p = sweep::paper_base(nx, ny);
   p.nranks = nranks;
   p.scenario = scenario;
   p.init.total = particles;
-  p.init.vth = 0.05;
-  // A coherent drift (~0.14c) makes the Lagrangian particle subdomains
-  // wander off their mesh subdomains over hundreds of iterations — the
-  // dynamic effect Figs 16-20 study.
-  p.init.drift_ux = 0.12;
-  p.init.drift_uy = 0.07;
-  p.curve = sfc::CurveKind::kHilbert;
-  p.grid_decomp = pic::GridDecomp::kCurve;
-  p.solver = pic::FieldSolveKind::kMaxwell;
-  p.machine = sim::CostModel::cm5();
-  p.policy = "sar";
   return p;
 }
 

@@ -36,12 +36,10 @@ struct Scale {
 /// Additional flags may be registered on `cli` before calling.
 Scale parse_scale(picpar::Cli& cli, int argc, const char* const* argv);
 
-/// The paper's experimental setup (Section 6): 2-D relativistic EM PIC on
-/// the simulated CM-5, independent partitioning, Lagrangian particles.
-/// `scenario` names the workload (src/scenario): the paper's "uniform" or
-/// its center-concentrated "irregular_beam" case. Particles get a bulk
-/// drift so subdomains decouple over time, which is what redistribution
-/// responds to.
+/// The paper's experimental setup (Section 6): sweep::paper_base with the
+/// workload filled in and the default SAR policy. `scenario` names the
+/// workload (src/scenario): the paper's "uniform" or its
+/// center-concentrated "irregular_beam" case.
 pic::PicParams paper_params(const std::string& scenario, std::uint32_t nx,
                             std::uint32_t ny, std::uint64_t particles,
                             int nranks);

@@ -28,12 +28,6 @@ const char* dedup_policy_name(DedupPolicy p) {
   return p == DedupPolicy::kHash ? "hash" : "direct";
 }
 
-DedupPolicy parse_dedup_policy(const std::string& name) {
-  if (name == "hash") return DedupPolicy::kHash;
-  if (name == "direct") return DedupPolicy::kDirect;
-  throw std::invalid_argument("unknown dedup policy: " + name);
-}
-
 GhostExchange::GhostExchange(const mesh::LocalGrid& lg, DedupPolicy policy)
     : lg_(&lg),
       policy_(policy),

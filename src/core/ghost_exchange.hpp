@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "mesh/fields.hpp"
@@ -42,7 +41,6 @@ namespace picpar::core {
 enum class DedupPolicy { kHash, kDirect };
 
 const char* dedup_policy_name(DedupPolicy p);
-DedupPolicy parse_dedup_policy(const std::string& name);
 
 class GhostExchange {
 public:

@@ -92,12 +92,4 @@ inline bool advance_position_absorb_x(const mesh::GridDesc& g,
   return true;
 }
 
-/// Non-relativistic leapfrog kick (E only) for electrostatic runs.
-inline void leapfrog_kick(double q, double m, double dt, double ex, double ey,
-                          double& ux, double& uy) {
-  const double qmdt = q * dt / m;
-  ux += qmdt * ex;
-  uy += qmdt * ey;
-}
-
 }  // namespace picpar::particles

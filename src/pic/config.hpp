@@ -8,7 +8,9 @@
 #include "core/invariants.hpp"
 #include "core/partitioner.hpp"
 #include "mesh/grid.hpp"
+#include "mesh/partition.hpp"
 #include "particles/init.hpp"
+#include "particles/particle_array.hpp"
 #include "sfc/curve.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/faults.hpp"
@@ -27,9 +29,6 @@ enum class FieldSolveKind {
   kPoisson,  ///< electrostatic Jacobi solve
   kNone,     ///< skip (kinematics-only runs, benches that isolate comm)
 };
-
-GridDecomp parse_grid_decomp(const std::string& name);
-FieldSolveKind parse_solver(const std::string& name);
 
 /// Per-phase computation constants in units of the machine's delta,
 /// mirroring the paper's T_scomp / T_fcomp / T_gcomp / T_push (Section 4).
@@ -179,5 +178,17 @@ struct PicParams {
   /// content address of this configuration's result.
   std::string fingerprint() const;
 };
+
+// Set-up that run_pic and the baselines share (simulation.cpp).
+
+/// The grid partition of a p-rank group: Cartesian blocks or runs of
+/// `curve`, as params.grid_decomp says.
+mesh::GridPartition grid_partition(const PicParams& params,
+                                   const sfc::Curve& curve, int p);
+
+/// Append rank's share of the initial population to `out`: the rank-th of
+/// p equal contiguous blocks of `global`.
+void append_initial_slice(const particles::ParticleArray& global, int rank,
+                          int p, particles::ParticleArray& out);
 
 }  // namespace picpar::pic

@@ -20,11 +20,9 @@ using sim::Phase;
 
 namespace {
 GridPartition make_partition(const PicParams& params) {
-  if (params.grid_decomp == GridDecomp::kBlock)
-    return GridPartition::block_auto(params.grid, params.nranks);
   const auto curve =
       sfc::make_curve(params.curve, params.grid.nx, params.grid.ny);
-  return GridPartition::curve(params.grid, params.nranks, *curve);
+  return grid_partition(params, *curve, params.nranks);
 }
 }  // namespace
 

@@ -128,18 +128,9 @@ PicResult run_replicated(const PicParams& params) {
     const std::uint64_t cb = bounds[static_cast<std::size_t>(rank)];
     const std::uint64_t ce = bounds[static_cast<std::size_t>(rank) + 1];
 
-    // Lagrangian assignment: equal contiguous slices, fixed forever.
+    // Lagrangian assignment: run_pic's initial slice, fixed forever.
     ParticleArray mine(global.species());
-    {
-      const auto total = static_cast<std::uint64_t>(global.size());
-      const std::uint64_t b = static_cast<std::uint64_t>(rank) * total /
-                              static_cast<std::uint64_t>(p);
-      const std::uint64_t e = static_cast<std::uint64_t>(rank + 1) * total /
-                              static_cast<std::uint64_t>(p);
-      mine.reserve(static_cast<std::size_t>(e - b));
-      for (std::uint64_t i = b; i < e; ++i)
-        mine.push_back(global.rec(static_cast<std::size_t>(i)));
-    }
+    append_initial_slice(global, rank, p, mine);
 
     for (int iter = 0; iter < params.iterations; ++iter) {
       // ---- Scatter: local deposition + global element-wise sum ----

@@ -38,17 +38,23 @@ using particles::ParticleArray;
 using sim::Comm;
 using sim::Phase;
 
-GridDecomp parse_grid_decomp(const std::string& name) {
-  if (name == "block") return GridDecomp::kBlock;
-  if (name == "curve") return GridDecomp::kCurve;
-  throw std::invalid_argument("unknown grid decomposition: " + name);
+GridPartition grid_partition(const PicParams& params, const sfc::Curve& curve,
+                             int p) {
+  if (params.grid_decomp == GridDecomp::kBlock)
+    return GridPartition::block_auto(params.grid, p);
+  return GridPartition::curve(params.grid, p, curve);
 }
 
-FieldSolveKind parse_solver(const std::string& name) {
-  if (name == "maxwell") return FieldSolveKind::kMaxwell;
-  if (name == "poisson") return FieldSolveKind::kPoisson;
-  if (name == "none") return FieldSolveKind::kNone;
-  throw std::invalid_argument("unknown solver: " + name);
+void append_initial_slice(const ParticleArray& global, int rank, int p,
+                          ParticleArray& out) {
+  const auto total = static_cast<std::uint64_t>(global.size());
+  const std::uint64_t b =
+      static_cast<std::uint64_t>(rank) * total / static_cast<std::uint64_t>(p);
+  const std::uint64_t e = static_cast<std::uint64_t>(rank + 1) * total /
+                          static_cast<std::uint64_t>(p);
+  out.reserve(out.size() + static_cast<std::size_t>(e - b));
+  for (std::uint64_t i = b; i < e; ++i)
+    out.push_back(global.rec(static_cast<std::size_t>(i)));
 }
 
 std::vector<sim::CrashPoint> parse_crash_schedule(const std::string& spec) {
@@ -159,11 +165,7 @@ struct PartitionTable {
     std::lock_guard<std::mutex> lk(mu);
     auto it = by_size.find(p);
     if (it == by_size.end())
-      it = by_size
-               .emplace(p, params.grid_decomp == GridDecomp::kBlock
-                               ? GridPartition::block_auto(params.grid, p)
-                               : GridPartition::curve(params.grid, p, curve))
-               .first;
+      it = by_size.emplace(p, grid_partition(params, curve, p)).first;
     return it->second;
   }
 };
@@ -419,18 +421,8 @@ PicResult run_pic(const PicParams& params) {
       policy = core::make_policy(params.policy);
       out.iters.clear();
 
-      // Initial slice: equal contiguous blocks of the generated population.
       mine.clear();
-      {
-        const auto total = static_cast<std::uint64_t>(global.size());
-        const std::uint64_t b = static_cast<std::uint64_t>(rank) * total /
-                                static_cast<std::uint64_t>(p);
-        const std::uint64_t e = static_cast<std::uint64_t>(rank + 1) * total /
-                                static_cast<std::uint64_t>(p);
-        mine.reserve(static_cast<std::size_t>(e - b));
-        for (std::uint64_t i = b; i < e; ++i)
-          mine.push_back(global.rec(static_cast<std::size_t>(i)));
-      }
+      append_initial_slice(global, rank, p, mine);
 
       // Initial distribution (full sample sort + balance).
       c.set_phase(Phase::kRedistribute);

@@ -203,12 +203,6 @@ public:
     return v[0];
   }
 
-  /// Non-blocking probe for a matching message.
-  bool iprobe(int src = kAnySource, int tag = kAnyTag) const {
-    return machine_->do_iprobe(
-        rank_, src == kAnySource ? kAnySource : phys(src), tag);
-  }
-
   // ---- collectives (all ranks must call with matching arguments) ----
 
   /// Dissemination barrier: ceil(log2 p) rounds of pairwise messages.

@@ -61,9 +61,11 @@ struct FaultConfig {
   double corrupt_prob = 0.0;
   /// Probability a sent message is delivered twice (same sequence number).
   double duplicate_prob = 0.0;
-  /// Probability a sent message overtakes the previously queued message of
-  /// a *different* flow (src, tag) in the destination mailbox. Per-flow
-  /// FIFO is preserved, as on a real fabric with per-channel ordering.
+  /// Probability a send draws a reorder. The draw is counted
+  /// (FaultCounters::reordered_messages) and changes nothing else: matching
+  /// orders messages by (arrival, src, seq, dup), never by their place in a
+  /// mailbox, so deliveries, clocks and stats equal a run without it.
+  /// Arrival jitter is what reorders deliveries.
   double reorder_prob = 0.0;
   /// Retransmit attempts before the transport gives up (TransportError).
   int max_retries = 8;

@@ -579,8 +579,7 @@ void Machine::leave(int rank, std::optional<double> crash_vtime) {
 }
 
 int Machine::build_send(int src, int dst, int tag, Payload payload,
-                        Message out[2], double* new_clock,
-                        bool* reorder_first) {
+                        Message out[2], double* new_clock) {
   // Everything here touches only sender-owned state (clock arithmetic,
   // stats, per-destination sequence counters, the sender's fault stream,
   // per-rank observer state), so it runs outside the engine mutex. The
@@ -597,7 +596,6 @@ int Machine::build_send(int src, int dst, int tag, Payload payload,
   const double cost = cost_.message_cost(bytes);
   const double clock = s.clock.load() + cost;
   *new_clock = clock;
-  *reorder_first = false;
   auto& pc = s.stats.phase(s.phase);
   pc.msgs_sent += 1;
   pc.bytes_sent += bytes;
@@ -641,10 +639,11 @@ int Machine::build_send(int src, int dst, int tag, Payload payload,
   m.arrival += faults_.latency_jitter(src);
 
   const bool duplicate = faults_.should_duplicate(src);
-  // The reorder draw is kept for stream compatibility and counters; under
-  // key-based matching the physical queue position is inert — observable
-  // reordering comes from jittered arrival timestamps instead.
-  *reorder_first = faults_.should_reorder(src);
+  // The reorder draw is kept for stream compatibility and its counter;
+  // matching never reads a message's queue position, so a reorder changes
+  // nothing else. Observable reordering comes from jittered arrival
+  // timestamps instead.
+  (void)faults_.should_reorder(src);
   if (duplicate) {
     Message copy = m;  // shares the payload buffer
     copy.dup = true;
@@ -657,20 +656,6 @@ int Machine::build_send(int src, int dst, int tag, Payload payload,
   return 1;
 }
 
-void Machine::enqueue_messages(Message out[2], int n, bool reorder_first) {
-  auto& dstbox = ranks_[static_cast<std::size_t>(out[0].dst)].mailbox;
-  // Cross-flow overtake of the youngest queued message of a different
-  // (src, tag) flow — kept for physical-order fidelity (iprobe, reports);
-  // matching itself is position-independent.
-  if (reorder_first && !dstbox.empty() &&
-      (dstbox.back().src != out[0].src || dstbox.back().tag != out[0].tag)) {
-    dstbox.insert(dstbox.end() - 1, std::move(out[0]));
-  } else {
-    dstbox.push_back(std::move(out[0]));
-  }
-  if (n > 1) dstbox.push_back(std::move(out[1]));
-}
-
 void Machine::do_send(int src, int dst, int tag, Payload payload) {
   if (dst < 0 || dst >= nranks_)
     throw std::out_of_range("send: bad destination rank " +
@@ -678,12 +663,10 @@ void Machine::do_send(int src, int dst, int tag, Payload payload) {
   check_crash(src);
   Message out[2];
   double new_clock = 0.0;
-  bool reorder_first = false;
-  const int n =
-      build_send(src, dst, tag, std::move(payload), out, &new_clock,
-                 &reorder_first);
+  const int n = build_send(src, dst, tag, std::move(payload), out, &new_clock);
   EngineLock lk(sched_->engine_mutex());
-  enqueue_messages(out, n, reorder_first);
+  auto& dstbox = ranks_[static_cast<std::size_t>(dst)].mailbox;
+  for (int i = 0; i < n; ++i) dstbox.push_back(std::move(out[i]));
   ranks_[static_cast<std::size_t>(src)].clock = new_clock;
   // The receiver (if parked on a matching recv) may have become runnable;
   // its worker probes it again at its next handoff.
@@ -808,15 +791,6 @@ Message Machine::do_recv(int rank, int src, int tag, bool fp_payload) {
     yield_from(rank, lk);
     rs.waiting = false;
   }
-}
-
-bool Machine::do_iprobe(int rank, int src, int tag) {
-  // A physical mailbox scan: deterministic only when the probed message is
-  // causally sequenced before the probe (DESIGN.md §8).
-  EngineLock lk(sched_->engine_mutex());
-  for (const auto& m : ranks_[static_cast<std::size_t>(rank)].mailbox)
-    if (match(m, src, tag)) return true;
-  return false;
 }
 
 void Machine::charge(int rank, double seconds, bool is_compute) {

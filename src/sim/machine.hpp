@@ -304,7 +304,6 @@ private:
   //     stall ladder) changes under the engine mutex at W > 1 ---
   void do_send(int src, int dst, int tag, Payload payload);
   Message do_recv(int rank, int src, int tag, bool fp_payload = false);
-  bool do_iprobe(int rank, int src, int tag);
   MembershipView do_agree(int rank);
   void charge(int rank, double seconds, bool is_compute);
   LinkStats& link_stats(RankState& rs, int src);
@@ -396,11 +395,9 @@ private:
   /// fault draws. Fills out[0..1] (a duplicated message yields two) and
   /// returns the count; *new_clock receives the sender's post-charge clock,
   /// which the caller publishes only after enqueueing so concurrent
-  /// lower-bound reads stay conservative. *reorder_first reports the fault
-  /// model's reorder draw for enqueue positioning.
+  /// lower-bound reads stay conservative.
   int build_send(int src, int dst, int tag, Payload payload, Message out[2],
-                 double* new_clock, bool* reorder_first);
-  void enqueue_messages(Message out[2], int n, bool reorder_first);
+                 double* new_clock);
 
   // --- scheduler (machine.cpp explains the blocks and the ready set) ---
   struct Sched;      // per-run fibers, workers and ready set

@@ -56,9 +56,14 @@ struct GridJob {
 /// numbers.
 SweepGrid parse_grid(std::string_view text);
 
-/// Cross-multiply the axes into concrete jobs on the paper's experimental
-/// base configuration (Section 6 setup: drifting plasma, curve
-/// decomposition, Maxwell solver, CM-5 cost preset). Throws
+/// The paper's Section 6 base setup on an nx x ny mesh: a drifting plasma
+/// (vth 0.05), the Hilbert curve, curve decomposition, the Maxwell solver
+/// and the CM-5 cost preset. Grid-file sweeps and the figure benches
+/// (bench::paper_params) both start here, so equal grid points share
+/// cache entries.
+pic::PicParams paper_base(std::uint32_t nx, std::uint32_t ny);
+
+/// Cross-multiply the axes into concrete jobs on paper_base. Throws
 /// std::runtime_error for values no axis accepts (bad scenario, curve, or
 /// policy spec, zero ranks, mesh not "NXxNY").
 std::vector<GridJob> expand_grid(const SweepGrid& grid);

@@ -456,11 +456,5 @@ TEST(GhostExchange, MemoryBytesCountsStagedMessages) {
   EXPECT_GT(peak[1], 0u);
 }
 
-TEST(GhostExchange, ParsePolicyNames) {
-  EXPECT_EQ(parse_dedup_policy("hash"), DedupPolicy::kHash);
-  EXPECT_EQ(parse_dedup_policy("direct"), DedupPolicy::kDirect);
-  EXPECT_THROW(parse_dedup_policy("bloom"), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace picpar::core

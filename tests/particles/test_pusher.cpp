@@ -109,12 +109,5 @@ TEST(AdvancePosition, WrapsPeriodically) {
   EXPECT_LT(p.y[0], 10.0);
 }
 
-TEST(LeapfrogKick, MatchesQEdtOverM) {
-  double ux = 0.1, uy = 0.2;
-  leapfrog_kick(-2.0, 4.0, 0.5, 1.0, -1.0, ux, uy);
-  EXPECT_DOUBLE_EQ(ux, 0.1 - 2.0 * 0.5 / 4.0);
-  EXPECT_DOUBLE_EQ(uy, 0.2 + 2.0 * 0.5 / 4.0);
-}
-
 }  // namespace
 }  // namespace picpar::particles

@@ -175,15 +175,5 @@ TEST(RunPic, RejectsInvalidConfigs) {
   EXPECT_THROW(run_pic(p), std::invalid_argument);
 }
 
-TEST(ParseHelpers, GridDecompAndSolver) {
-  EXPECT_EQ(parse_grid_decomp("block"), GridDecomp::kBlock);
-  EXPECT_EQ(parse_grid_decomp("curve"), GridDecomp::kCurve);
-  EXPECT_THROW(parse_grid_decomp("diag"), std::invalid_argument);
-  EXPECT_EQ(parse_solver("maxwell"), FieldSolveKind::kMaxwell);
-  EXPECT_EQ(parse_solver("poisson"), FieldSolveKind::kPoisson);
-  EXPECT_EQ(parse_solver("none"), FieldSolveKind::kNone);
-  EXPECT_THROW(parse_solver("fft"), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace picpar::pic

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "sim/comm.hpp"
@@ -243,8 +244,9 @@ TEST(Faults, ReorderingPreservesPerFlowFifo) {
   FaultConfig cfg;
   cfg.reorder_prob = 1.0;
   Machine m(4, CostModel::cm5(), cfg);
-  // ring_program's per-stream sequence check is exactly the per-flow FIFO
-  // guarantee; interleaving across tags exercises cross-flow overtaking.
+  // Every send draws a reorder, which is counted and changes nothing else:
+  // matching takes each flow's lowest sequence number, so two interleaved
+  // flows to one destination each still arrive in send order.
   m.run([](Comm& c) {
     const int p = c.size();
     const int next = (c.rank() + 1) % p;
@@ -259,6 +261,84 @@ TEST(Faults, ReorderingPreservesPerFlowFifo) {
       EXPECT_EQ(c.recv_value<int>(prev, 2), 100 + k)
           << "flow (tag 2) reordered";
   });
+}
+
+/// Traffic over several (src, tag) flows into each rank, taken by pinned,
+/// wildcard-source and wildcard-tag receives; `got` logs what each receive
+/// returned, in receive order.
+void flows_program(Comm& c, std::vector<long>& got) {
+  const int r = c.rank();
+  const int p = c.size();
+  const int next = (r + 1) % p;
+  const int prev = (r + p - 1) % p;
+  c.set_phase(Phase::kScatter);
+  for (int k = 0; k < 4; ++k) {
+    c.send_value(next, 1, 100 * r + k);
+    c.send_value(next, 2, 100 * r + 10 + k);
+    c.send_value((r + 2) % p, 1, 100 * r + 20 + k);
+  }
+  c.charge(1e-6 * (r % 3));
+  // Tag 2 first, so tag-1 messages of the same source wait behind it.
+  for (int k = 0; k < 4; ++k) got.push_back(c.recv_value<int>(prev, 2));
+
+  c.set_phase(Phase::kGather);
+  for (int k = 0; k < 8; ++k) {
+    int src = -1;
+    const int v = c.recv<int>(kAnySource, 1, &src)[0];
+    got.push_back(1000L * src + v);
+  }
+
+  c.set_phase(Phase::kPush);
+  c.send_value(next, 3 + r % 2, r);
+  c.send_value(next, 5, r);
+  for (int k = 0; k < 2; ++k) {
+    const Message m = c.recv_msg(prev, kAnyTag);
+    int v = 0;
+    std::memcpy(&v, m.payload.data(), sizeof v);
+    got.push_back(1000L * m.tag + v);
+  }
+  c.barrier();
+}
+
+TEST(Faults, ReorderChangesNoDelivery) {
+  // A reorder is drawn and counted, and nothing else: with a draw on every
+  // send, each receive returns what it returns on a fault-free fabric, and
+  // clocks and per-phase stats are equal too.
+  constexpr int kRanks = 6;
+  const auto run = [](const FaultConfig& cfg,
+                      std::vector<std::vector<long>>& got) {
+    got.assign(kRanks, {});
+    Machine m(kRanks, CostModel::cm5(), cfg);
+    return m.run([&](Comm& c) {
+      flows_program(c, got[static_cast<std::size_t>(c.rank())]);
+    });
+  };
+  FaultConfig reorder;
+  reorder.reorder_prob = 1.0;
+  std::vector<std::vector<long>> got_clean, got_reorder;
+  const RunResult clean = run(FaultConfig{}, got_clean);
+  const RunResult reordered = run(reorder, got_reorder);
+
+  EXPECT_EQ(got_reorder, got_clean);
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    ASSERT_EQ(got_clean[r].size(), 14u);
+    EXPECT_EQ(reordered.ranks[r].clock, clean.ranks[r].clock);
+    for (int ph = 0; ph < kNumPhases; ++ph) {
+      const auto& a = clean.ranks[r].stats.phase(static_cast<Phase>(ph));
+      const auto& b = reordered.ranks[r].stats.phase(static_cast<Phase>(ph));
+      EXPECT_EQ(b.msgs_sent, a.msgs_sent) << "phase " << ph;
+      EXPECT_EQ(b.bytes_sent, a.bytes_sent) << "phase " << ph;
+      EXPECT_EQ(b.msgs_recv, a.msgs_recv) << "phase " << ph;
+      EXPECT_EQ(b.bytes_recv, a.bytes_recv) << "phase " << ph;
+      EXPECT_EQ(b.comm_seconds, a.comm_seconds) << "phase " << ph;
+      EXPECT_EQ(b.compute_seconds, a.compute_seconds) << "phase " << ph;
+    }
+    FaultCounters f = reordered.ranks[r].faults;
+    EXPECT_GT(f.reordered_messages, 0u);
+    f.reordered_messages = 0;
+    EXPECT_EQ(f.total(), 0u);
+  }
 }
 
 TEST(Faults, StragglerRaisesMakespan) {

@@ -91,23 +91,6 @@ TEST(PointToPoint, AnyTagMatchesFirstAvailable) {
   });
 }
 
-TEST(PointToPoint, IprobeSeesPendingMessage) {
-  Machine m(2, CostModel::zero());
-  m.run([](Comm& c) {
-    if (c.rank() == 0) {
-      c.send_value(1, 4, 0);
-      c.send_value(1, 0, 1);  // rank 1 waits on this to sequence the probe
-    }
-    if (c.rank() == 1) {
-      (void)c.recv_value<int>(0, 0);
-      EXPECT_TRUE(c.iprobe(0, 4));
-      EXPECT_FALSE(c.iprobe(0, 5));
-      (void)c.recv_value<int>(0, 4);
-      EXPECT_FALSE(c.iprobe(0, 4));
-    }
-  });
-}
-
 TEST(PointToPoint, SelfSendIsDeliverable) {
   Machine m(1, CostModel::zero());
   m.run([](Comm& c) {
