@@ -17,20 +17,19 @@ std::string AuditResult::summary() const {
 }
 
 AuditResult audit_determinism(
-    sim::Machine& machine,
+    sim::Machine& machine, sim::MachineObserver& observer,
+    const Analyzer& analyzer,
     const std::function<void(sim::Comm&)>& program,
-    const std::function<void()>& between_runs,
-    Analyzer::Options options) {
+    const std::function<void()>& between_runs) {
   sim::MachineObserver* previous = machine.observer();
   AuditResult out;
-  Analyzer analyzer(options);
-  machine.set_observer(&analyzer);
+  machine.set_observer(&observer);
   try {
     machine.run(program);
     out.fingerprint_first = analyzer.fingerprint();
     out.events_first = analyzer.events();
     if (between_runs) between_runs();
-    machine.run(program);
+    out.run = machine.run(program);
     out.fingerprint_second = analyzer.fingerprint();
     out.events_second = analyzer.events();
     out.findings = analyzer.total();

@@ -98,13 +98,14 @@ struct PicResult {
   bool traced = false;
   std::uint64_t trace_events = 0;   ///< observer callbacks during the run
   std::string metrics_json;         ///< MetricsSnapshot::to_json()
-  std::string metrics_csv;          ///< MetricsSnapshot::to_csv()
   std::string timeline_csv;         ///< RedistTimeline::to_csv() (Figs 11-17)
   /// Host wall-clock microseconds spent inside each sim::Phase, summed over
   /// ranks (indexed by sim::Phase; empty when tracing is off). Unlike the
   /// exports above this is schedule-dependent — it measures the real
   /// machine, not the simulated one — so it never participates in
-  /// byte-identity checks. Used by perf-guard benches (DESIGN.md §10).
+  /// byte-identity checks, and it is the one member the cached result
+  /// payload leaves out: a result read from the sweep cache has it empty,
+  /// as an untraced run does. Used by perf-guard benches (DESIGN.md §10).
   std::vector<double> phase_wall_us;
 
   // Physics diagnostics at the end of the run (summed over ranks).

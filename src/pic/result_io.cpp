@@ -13,7 +13,7 @@ namespace {
 
 using trace::detail::append_num;
 
-constexpr std::string_view kMagic = "picpar-result v1";
+constexpr std::string_view kMagic = "picpar-result v2";
 
 // ---------------------------------------------------------------------------
 // Writing
@@ -154,8 +154,8 @@ struct Row {
 std::string serialize_result(const PicResult& r) {
   std::string out;
   out.reserve(4096 + r.iters.size() * 96 + r.machine.ranks.size() * 512 +
-              r.metrics_json.size() + r.metrics_csv.size() +
-              r.timeline_csv.size() + r.analysis_report.size());
+              r.metrics_json.size() + r.timeline_csv.size() +
+              r.analysis_report.size());
   out += kMagic;
   out += '\n';
 
@@ -185,13 +185,6 @@ std::string serialize_result(const PicResult& r) {
   put(out, "field_energy", r.field_energy);
   put(out, "kinetic_energy", r.kinetic_energy);
   put(out, "total_charge", r.total_charge);
-
-  out += "phase_wall_us=";
-  for (std::size_t i = 0; i < r.phase_wall_us.size(); ++i) {
-    if (i != 0) sep(out);
-    append_num(out, r.phase_wall_us[i]);
-  }
-  out += '\n';
 
   put(out, "iters", static_cast<std::uint64_t>(r.iters.size()));
   for (const IterRecord& it : r.iters) {
@@ -305,7 +298,6 @@ std::string serialize_result(const PicResult& r) {
 
   put_blob(out, "analysis_report", r.analysis_report);
   put_blob(out, "metrics_json", r.metrics_json);
-  put_blob(out, "metrics_csv", r.metrics_csv);
   put_blob(out, "timeline_csv", r.timeline_csv);
   out += "end\n";
   return out;
@@ -345,17 +337,6 @@ PicResult parse_result(std::string_view text) {
   r.field_energy = num<double>(in.value("field_energy"));
   r.kinetic_energy = num<double>(in.value("kinetic_energy"));
   r.total_charge = num<double>(in.value("total_charge"));
-
-  {
-    std::string_view v = in.value("phase_wall_us");
-    while (!v.empty()) {
-      const auto end = v.find(',');
-      r.phase_wall_us.push_back(
-          num<double>(end == std::string_view::npos ? v : v.substr(0, end)));
-      v = end == std::string_view::npos ? std::string_view{}
-                                        : v.substr(end + 1);
-    }
-  }
 
   const auto niters = num<std::uint64_t>(in.value("iters"));
   r.iters.reserve(static_cast<std::size_t>(niters));
@@ -458,7 +439,6 @@ PicResult parse_result(std::string_view text) {
 
   r.analysis_report = in.blob("analysis_report");
   r.metrics_json = in.blob("metrics_json");
-  r.metrics_csv = in.blob("metrics_csv");
   r.timeline_csv = in.blob("timeline_csv");
   if (in.line() != "end") fail("missing end marker");
   if (!in.done()) fail("trailing bytes");

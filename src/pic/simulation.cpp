@@ -862,18 +862,16 @@ PicResult run_pic(const PicParams& params) {
   int audit_state = -1;
   sim::RunResult run;
   if (analyze_on && params.analyze.audit_determinism) {
-    // First run establishes the happens-before DAG fingerprint; the second
-    // must reproduce it exactly. Per-rank outputs and the checkpoint store
-    // are host-side state the program accumulates into, so they reset
-    // between runs.
-    machine.run(program);
-    const auto fp1 = analyzer.fingerprint();
-    const auto ev1 = analyzer.events();
-    for (auto& o : outputs) o = RankOutput{};
-    store.reset();
-    run = machine.run(program);
-    audit_state =
-        (fp1 == analyzer.fingerprint() && ev1 == analyzer.events()) ? 1 : 0;
+    // Per-rank outputs and the checkpoint store are host-side state the
+    // program accumulates into, so they reset between the two runs; the
+    // result is the second run's.
+    auto audit = analysis::audit_determinism(
+        machine, observers, analyzer, program, [&] {
+          for (auto& o : outputs) o = RankOutput{};
+          store.reset();
+        });
+    audit_state = audit.deterministic() ? 1 : 0;
+    run = std::move(audit.run);
   } else {
     run = machine.run(program);
   }
@@ -1011,9 +1009,7 @@ PicResult run_pic(const PicParams& params) {
     if (analyze_on)
       tracer.metrics().set("mem.analyzer_bytes",
                            static_cast<double>(analyzer.memory_bytes()));
-    const trace::MetricsSnapshot snap = tracer.metrics().snapshot();
-    result.metrics_json = snap.to_json();
-    result.metrics_csv = snap.to_csv();
+    result.metrics_json = tracer.metrics().snapshot().to_json();
     result.timeline_csv = tracer.timeline().to_csv();
     if (!tp.path.empty() || !tp.metrics_path.empty()) {
       trace::ChromeTraceOptions copt;

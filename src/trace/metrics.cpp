@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <charconv>
-#include <stdexcept>
-#include <utility>
 
 namespace picpar::trace {
 
@@ -115,228 +113,6 @@ std::string MetricsSnapshot::to_json() const {
   }
   out += "\n  }\n}\n";
   return out;
-}
-
-std::string MetricsSnapshot::to_csv() const {
-  std::string out = "type,name,value,sum,min,max\n";
-  for (const auto& [name, v] : counters) {
-    out += "counter,";
-    out += name;
-    out += ',';
-    append_num(out, v);
-    out += ",,,\n";
-  }
-  for (const auto& [name, v] : gauges) {
-    out += "gauge,";
-    out += name;
-    out += ',';
-    append_num(out, v);
-    out += ",,,\n";
-  }
-  for (const auto& [name, h] : histograms) {
-    out += "histogram,";
-    out += name;
-    out += ',';
-    append_num(out, h.count);
-    out += ',';
-    append_num(out, h.sum);
-    out += ',';
-    append_num(out, h.min);
-    out += ',';
-    append_num(out, h.max);
-    out += '\n';
-    for (std::size_t k = 0; k < h.buckets.size(); ++k) {
-      if (h.buckets[k] == 0) continue;
-      out += "bucket,";
-      out += name;
-      out += "/le_2^";
-      append_num(out, static_cast<std::uint64_t>(k));
-      out += ',';
-      append_num(out, h.buckets[k]);
-      out += ",,,\n";
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Loaders — the strict inverses of the exporters above. They only accept the
-// exporters' own deterministic output (fixed indentation, fixed key order),
-// which keeps them simple and makes any hand-edited or torn input an error
-// rather than a silent partial parse.
-
-namespace {
-
-[[noreturn]] void load_fail(const char* what) {
-  throw std::runtime_error(std::string("MetricsSnapshot: malformed input: ") +
-                           what);
-}
-
-/// Newline-separated cursor over the input text.
-struct Lines {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  bool done() const { return pos >= text.size(); }
-  std::string_view next() {
-    if (done()) load_fail("unexpected end of input");
-    const auto nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) load_fail("unterminated line");
-    std::string_view line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    return line;
-  }
-};
-
-std::uint64_t parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
-  const auto r = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (r.ec != std::errc{} || r.ptr != s.data() + s.size())
-    load_fail("bad unsigned integer");
-  return v;
-}
-
-double parse_dbl(std::string_view s) {
-  double v = 0.0;
-  const auto r = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (r.ec != std::errc{} || r.ptr != s.data() + s.size())
-    load_fail("bad number");
-  return v;
-}
-
-/// In-line cursor for the single-line histogram JSON object.
-struct Scan {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  void expect(std::string_view lit) {
-    if (s.substr(pos, lit.size()) != lit) load_fail("unexpected token");
-    pos += lit.size();
-  }
-  bool peek(char c) const { return pos < s.size() && s[pos] == c; }
-  /// Consume up to (not including) the first delimiter in `delims`.
-  std::string_view until(std::string_view delims) {
-    const auto end = s.find_first_of(delims, pos);
-    if (end == std::string_view::npos) load_fail("unterminated value");
-    std::string_view v = s.substr(pos, end - pos);
-    pos = end;
-    return v;
-  }
-};
-
-Histogram parse_histogram_json(std::string_view v) {
-  Histogram h;
-  Scan sc{v};
-  sc.expect("{\"count\":");
-  h.count = parse_u64(sc.until(","));
-  sc.expect(",\"sum\":");
-  h.sum = parse_dbl(sc.until(","));
-  sc.expect(",\"min\":");
-  h.min = parse_u64(sc.until(","));
-  sc.expect(",\"max\":");
-  h.max = parse_u64(sc.until(","));
-  sc.expect(",\"buckets\":{");
-  if (!sc.peek('}')) h.buckets.assign(kHistogramBuckets, 0);
-  while (!sc.peek('}')) {
-    sc.expect("\"le_2^");
-    const auto k = parse_u64(sc.until("\""));
-    if (k >= kHistogramBuckets) load_fail("bucket index out of range");
-    sc.expect("\":");
-    h.buckets[static_cast<std::size_t>(k)] = parse_u64(sc.until(",}"));
-    if (sc.peek(',')) sc.expect(",");
-  }
-  sc.expect("}}");
-  if (sc.pos != v.size()) load_fail("trailing histogram bytes");
-  return h;
-}
-
-/// One `    "name": value` JSON section entry; returns false on the
-/// section-closing line (which is passed in `close`).
-bool parse_entry(std::string_view line, std::string_view close,
-                 std::string& name, std::string_view& value) {
-  if (line == close) return false;
-  Scan sc{line};
-  sc.expect("    \"");
-  name = std::string(sc.until("\""));
-  sc.expect("\": ");
-  value = line.substr(sc.pos);
-  if (!value.empty() && value.back() == ',') value.remove_suffix(1);
-  if (value.empty()) load_fail("empty value");
-  return true;
-}
-
-/// Split a CSV row into exactly `n` fields (metric names contain no commas
-/// or quotes, so plain splitting is exact).
-void split_csv(std::string_view line, std::string_view* fields,
-               std::size_t n) {
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool last = i + 1 == n;
-    const auto end = last ? line.size() : line.find(',', start);
-    if (end == std::string_view::npos) load_fail("too few CSV fields");
-    fields[i] = line.substr(start, end - start);
-    start = end + 1;
-  }
-  if (n > 0 && fields[n - 1].find(',') != std::string_view::npos)
-    load_fail("too many CSV fields");
-}
-
-}  // namespace
-
-MetricsSnapshot MetricsSnapshot::from_json(std::string_view text) {
-  MetricsSnapshot s;
-  Lines in{text};
-  if (in.next() != "{") load_fail("missing opening brace");
-  if (in.next() != "  \"counters\": {") load_fail("missing counters section");
-  std::string name;
-  std::string_view value;
-  while (parse_entry(in.next(), "  },", name, value))
-    s.counters.emplace_back(name, parse_u64(value));
-  if (in.next() != "  \"gauges\": {") load_fail("missing gauges section");
-  while (parse_entry(in.next(), "  },", name, value))
-    s.gauges.emplace_back(name, parse_dbl(value));
-  if (in.next() != "  \"histograms\": {")
-    load_fail("missing histograms section");
-  while (parse_entry(in.next(), "  }", name, value))
-    s.histograms.emplace_back(name, parse_histogram_json(value));
-  if (in.next() != "}") load_fail("missing closing brace");
-  if (!in.done()) load_fail("trailing bytes");
-  return s;
-}
-
-MetricsSnapshot MetricsSnapshot::from_csv(std::string_view text) {
-  MetricsSnapshot s;
-  Lines in{text};
-  if (in.next() != "type,name,value,sum,min,max") load_fail("missing header");
-  while (!in.done()) {
-    std::string_view f[6];
-    split_csv(in.next(), f, 6);
-    if (f[0] == "counter") {
-      s.counters.emplace_back(std::string(f[1]), parse_u64(f[2]));
-    } else if (f[0] == "gauge") {
-      s.gauges.emplace_back(std::string(f[1]), parse_dbl(f[2]));
-    } else if (f[0] == "histogram") {
-      Histogram h;
-      h.count = parse_u64(f[2]);
-      h.sum = parse_dbl(f[3]);
-      h.min = parse_u64(f[4]);
-      h.max = parse_u64(f[5]);
-      s.histograms.emplace_back(std::string(f[1]), std::move(h));
-    } else if (f[0] == "bucket") {
-      if (s.histograms.empty()) load_fail("bucket row before histogram row");
-      auto& [hname, h] = s.histograms.back();
-      const auto sep = f[1].rfind("/le_2^");
-      if (sep == std::string_view::npos || f[1].substr(0, sep) != hname)
-        load_fail("bucket row names a different histogram");
-      const auto k = parse_u64(f[1].substr(sep + 6));
-      if (k >= kHistogramBuckets) load_fail("bucket index out of range");
-      if (h.buckets.empty()) h.buckets.assign(kHistogramBuckets, 0);
-      h.buckets[static_cast<std::size_t>(k)] = parse_u64(f[2]);
-    } else {
-      load_fail("unknown row type");
-    }
-  }
-  return s;
 }
 
 }  // namespace picpar::trace

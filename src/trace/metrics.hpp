@@ -3,7 +3,7 @@
 //
 // The registry is a plain map keyed by metric name; snapshots iterate it in
 // sorted order and format numbers with std::to_chars (shortest round-trip),
-// so two runs that observe the same values produce byte-identical JSON/CSV
+// so two runs that observe the same values produce byte-identical JSON
 // regardless of insertion order, locale, or host. Histograms use 65 fixed
 // power-of-two buckets (bucket 0 holds values <= 1, bucket k holds
 // (2^(k-1), 2^k] for k = 1..64), so the bucket layout never depends on the
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace picpar::trace {
@@ -36,7 +35,7 @@ struct Histogram {
   void observe(std::uint64_t value);
 };
 
-/// One immutable, sorted view of a registry, with deterministic exporters.
+/// One immutable, sorted view of a registry, with a deterministic exporter.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -46,19 +45,6 @@ struct MetricsSnapshot {
   /// "histograms":{...}}; one metric per line, keys sorted. Histogram
   /// buckets appear as {"le_2^k": count} for non-empty buckets only.
   std::string to_json() const;
-
-  /// CSV with header "type,name,value,sum,min,max"; counters and gauges
-  /// fill only `value`, histogram rows carry count/sum/min/max, and each
-  /// non-empty bucket adds a "bucket,<name>/le_2^k,<count>" row.
-  std::string to_csv() const;
-
-  /// Load counterparts to the exporters above, so cached sweep results
-  /// rehydrate without re-simulation (DESIGN.md §13). Strict: the input
-  /// must be in the exporters' own deterministic format; anything else
-  /// throws std::runtime_error. The round trip is byte-exact:
-  /// from_json(s.to_json()).to_json() == s.to_json(), likewise for CSV.
-  static MetricsSnapshot from_json(std::string_view text);
-  static MetricsSnapshot from_csv(std::string_view text);
 };
 
 class MetricsRegistry {

@@ -1,10 +1,8 @@
 #include "trace/tracer.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstring>
-#include <stdexcept>
 
 #include "util/env.hpp"
 #include "util/sparse_rank.hpp"
@@ -362,86 +360,6 @@ std::string RedistTimeline::to_csv() const {
     out += '\n';
   }
   return out;
-}
-
-namespace {
-
-[[noreturn]] void timeline_fail(const char* what) {
-  throw std::runtime_error(
-      std::string("RedistTimeline: malformed input: ") + what);
-}
-
-template <typename T>
-T timeline_num(std::string_view s) {
-  T v{};
-  const auto r = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (r.ec != std::errc{} || r.ptr != s.data() + s.size())
-    timeline_fail("bad number");
-  return v;
-}
-
-bool timeline_bool(std::string_view s) {
-  if (s == "1") return true;
-  if (s == "0") return false;
-  timeline_fail("bad flag");
-}
-
-}  // namespace
-
-RedistTimeline RedistTimeline::from_csv(std::string_view text) {
-  constexpr std::string_view kHeader =
-      "iter,vtime,loop_seconds,redistributed,redist_seconds,moved,"
-      "violation,recovered,imbalance";
-  RedistTimeline t;
-  std::size_t pos = text.find('\n');
-  if (pos == std::string_view::npos ||
-      text.substr(0, kHeader.size()) != kHeader)
-    timeline_fail("missing header");
-  // The per-rank count columns ",p0,p1,..." fix nranks.
-  std::string_view cols = text.substr(kHeader.size(), pos - kHeader.size());
-  while (!cols.empty()) {
-    if (cols.substr(0, 2) != ",p") timeline_fail("bad particle column");
-    cols.remove_prefix(2);
-    const auto end = cols.find(',');
-    (void)timeline_num<std::uint64_t>(cols.substr(0, end));
-    cols = end == std::string_view::npos ? std::string_view{}
-                                         : cols.substr(end);
-    ++t.nranks;
-  }
-  ++pos;
-  const std::size_t nfields = 9 + static_cast<std::size_t>(t.nranks);
-  std::vector<std::string_view> f(nfields);
-  while (pos < text.size()) {
-    const auto nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) timeline_fail("unterminated row");
-    std::string_view line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < nfields; ++i) {
-      const bool last = i + 1 == nfields;
-      const auto end = last ? line.size() : line.find(',', start);
-      if (end == std::string_view::npos) timeline_fail("too few fields");
-      f[i] = line.substr(start, end - start);
-      start = end + 1;
-    }
-    if (f[nfields - 1].find(',') != std::string_view::npos)
-      timeline_fail("too many fields");
-    IterSample s;
-    s.iter = timeline_num<std::int64_t>(f[0]);
-    s.vtime = timeline_num<double>(f[1]);
-    s.loop_seconds = timeline_num<double>(f[2]);
-    s.redistributed = timeline_bool(f[3]);
-    s.redist_seconds = timeline_num<double>(f[4]);
-    s.moved = timeline_num<std::uint64_t>(f[5]);
-    s.violation = timeline_bool(f[6]);
-    s.recovered = timeline_bool(f[7]);
-    (void)timeline_num<double>(f[8]);  // imbalance: derived, recomputed
-    s.particles.reserve(static_cast<std::size_t>(t.nranks));
-    for (std::size_t i = 9; i < nfields; ++i)
-      s.particles.push_back(timeline_num<std::uint64_t>(f[i]));
-    t.iters.push_back(std::move(s));
-  }
-  return t;
 }
 
 const char* trace_env_path() { return env_path("PICPAR_TRACE"); }

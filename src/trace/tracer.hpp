@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/observer.hpp"
@@ -143,13 +142,6 @@ struct RedistTimeline {
   /// CSV: iter,vtime,loop_seconds,redistributed,redist_seconds,moved,
   /// violation,recovered,imbalance,p0..p{n-1} — one row per iteration.
   std::string to_csv() const;
-
-  /// Load counterpart to to_csv(), so cached sweep results rehydrate
-  /// without re-simulation. The imbalance column is derived from the
-  /// per-rank counts and is recomputed, not stored. Strict: input must be
-  /// to_csv() output; throws std::runtime_error otherwise. Round trip is
-  /// byte-exact: from_csv(t.to_csv()).to_csv() == t.to_csv().
-  static RedistTimeline from_csv(std::string_view text);
 };
 
 class Tracer final : public sim::MachineObserver {

@@ -251,7 +251,8 @@ TEST(Analyzer, FindingsAreDeduplicatedAndCapped) {
 
 TEST(Audit, DeterministicProgramPasses) {
   Machine m(4, CostModel::cm5());
-  const auto res = audit_determinism(m, [](Comm& c) {
+  Analyzer a;
+  const auto res = audit_determinism(m, a, a, [](Comm& c) {
     const int next = (c.rank() + 1) % c.size();
     c.send_value<int>(next, 2, c.rank());
     (void)c.recv<int>(kAnySource, 2);
@@ -269,9 +270,10 @@ TEST(Audit, CatchesHiddenStateSteeringCommunication) {
   // exactly the class of bug (leaked caches, pointer-keyed iteration) the
   // fingerprint diff exists to catch.
   Machine m(2, CostModel::cm5());
+  Analyzer a;
   int generation = 0;
   const auto res = audit_determinism(
-      m,
+      m, a, a,
       [&generation](Comm& c) {
         const int msgs = 1 + generation;
         if (c.rank() == 0)
@@ -289,7 +291,8 @@ TEST(Audit, RestoresPreviousObserver) {
   Machine m(2, CostModel::zero());
   Analyzer outer;
   m.set_observer(&outer);
-  (void)audit_determinism(m, [](Comm& c) {
+  Analyzer a;
+  (void)audit_determinism(m, a, a, [](Comm& c) {
     if (c.rank() == 0) c.send_value<int>(1, 1, 0);
     if (c.rank() == 1) (void)c.recv<int>(0, 1);
   });

@@ -141,7 +141,6 @@ TEST_F(CrashRecovery, SequentialAndParallelAreBitIdentical) {
   EXPECT_EQ(seq.crash_count, 1);
   expect_same_result(seq, par);
   EXPECT_EQ(seq.metrics_json, par.metrics_json);
-  EXPECT_EQ(seq.metrics_csv, par.metrics_csv);
   EXPECT_EQ(seq.timeline_csv, par.timeline_csv);
 }
 

@@ -99,7 +99,6 @@ TEST(MetricsRegistry, SnapshotIsInsertionOrderIndependent) {
   b.add("z", 1);
 
   EXPECT_EQ(a.snapshot().to_json(), b.snapshot().to_json());
-  EXPECT_EQ(a.snapshot().to_csv(), b.snapshot().to_csv());
   // Keys come out sorted.
   const auto s = a.snapshot();
   EXPECT_EQ(s.counters[0].first, "a");
@@ -120,17 +119,6 @@ TEST(MetricsSnapshot, JsonShape) {
   // Balanced braces (cheap structural sanity; CI parses it for real).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
-}
-
-TEST(MetricsSnapshot, CsvShape) {
-  MetricsRegistry reg;
-  reg.add("c", 2);
-  reg.observe("h", 3);
-  const std::string csv = reg.snapshot().to_csv();
-  EXPECT_EQ(csv.rfind("type,name,value,sum,min,max\n", 0), 0u);
-  EXPECT_NE(csv.find("counter,c,2,,,\n"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,h,1,3,3,3\n"), std::string::npos);
-  EXPECT_NE(csv.find("bucket,h/le_2^2,1,,,\n"), std::string::npos);
 }
 
 TEST(MetricsRegistry, ClearEmptiesEverything) {

@@ -102,8 +102,6 @@ TEST(TracePic, TimelineReproducesPerIterationRedistributionData) {
   EXPECT_NE(r.metrics_json.find("\"pic.redistributions\": " +
                                 std::to_string(r.redistributions)),
             std::string::npos);
-  EXPECT_NE(r.metrics_csv.find("counter,pic.iterations,4"),
-            std::string::npos);
 }
 
 // The tentpole determinism guarantee at the PIC level: every exported
@@ -127,7 +125,6 @@ TEST(TracePic, ExportsByteIdenticalAcrossExecModes) {
   const auto par = pic::run_pic(p);
 
   EXPECT_EQ(seq.metrics_json, par.metrics_json);
-  EXPECT_EQ(seq.metrics_csv, par.metrics_csv);
   EXPECT_EQ(seq.timeline_csv, par.timeline_csv);
   EXPECT_EQ(seq.trace_events, par.trace_events);
 
