@@ -54,9 +54,6 @@ struct InvariantConfig {
   double energy_factor = 0.0;
   /// Verify key/position consistency (one curve evaluation per particle).
   bool verify_keys = true;
-  /// Abstract ops charged per particle scanned, so validation shows up
-  /// honestly in the virtual-time overhead.
-  double ops_per_particle = 1.0;
 };
 
 struct InvariantViolation {

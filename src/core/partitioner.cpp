@@ -54,9 +54,9 @@ void ParticlePartitioner::assign_keys(sim::Comm& comm,
 
 void ParticlePartitioner::charge_work(sim::Comm& comm,
                                       const SortWork& w) const {
-  const double ops =
-      static_cast<double>(w.comparisons) * cfg_.ops_per_comparison +
-      static_cast<double>(w.moves) * cfg_.ops_per_move;
+  // One op per comparison and two per particle move.
+  const double ops = static_cast<double>(w.comparisons) +
+                     static_cast<double>(w.moves) * 2.0;
   comm.charge(ops * comm.cost().delta);
 }
 

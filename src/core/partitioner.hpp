@@ -35,10 +35,6 @@ namespace picpar::core {
 struct PartitionerConfig {
   int buckets_per_rank = 16;  ///< L in the paper's Fig 12
   int samples_per_rank = 32;  ///< oversampling for the sample sort
-  /// Cost (abstract ops) charged per comparison / per particle move when
-  /// translating sort work into virtual compute time.
-  double ops_per_comparison = 1.0;
-  double ops_per_move = 2.0;
   /// Balancer policy spec (core/balancer.hpp): "lagrange" (the paper's
   /// sample sort + order-maintaining balance), "eulerian" (particle-
   /// weighted cell-aligned cuts) or "sfcweight[:A]" (weighted-element SFC

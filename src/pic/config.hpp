@@ -60,8 +60,6 @@ struct ValidationParams {
   int max_recoveries = 8;
   /// Invariant tolerances; see core/invariants.hpp.
   core::InvariantConfig invariants{};
-  /// Abstract ops charged per particle copied into a checkpoint.
-  double checkpoint_ops_per_particle = 2.0;
 
   bool enabled() const { return check_every > 0 || checkpoint_every > 0; }
 };
@@ -76,8 +74,6 @@ struct AnalysisParams {
   /// Run the whole program twice and compare happens-before DAG
   /// fingerprints (doubles the run; implies `enabled`).
   bool audit_determinism = false;
-  /// Cap on stored findings (detections keep counting past it).
-  int max_findings = 64;
 };
 
 /// Opt-in deterministic tracing (src/trace). Everything defaults to off:
@@ -96,9 +92,6 @@ struct TraceParams {
   std::string metrics_path;
   /// Record message send->recv flow events (and per-phase traffic metrics).
   bool flows = true;
-  /// Attach wall-clock args to exported spans (schedule-dependent; breaks
-  /// byte-identity between runs, so off by default).
-  bool include_wall = false;
 
   bool on() const { return enabled || !path.empty() || !metrics_path.empty(); }
 };

@@ -22,8 +22,8 @@ namespace picpar::pic {
 PicResult run_eulerian(const PicParams& params);
 
 /// Per-rank particle counts after Eulerian assignment of the initial
-/// population — used by the Table 1 bench to quantify load imbalance
-/// without running a simulation.
+/// population: the load imbalance of the grid partitioning without running
+/// a simulation (the Baselines tests check it).
 std::vector<std::size_t> eulerian_particle_counts(const PicParams& params);
 
 }  // namespace picpar::pic

@@ -33,7 +33,10 @@ namespace {
 /// v2: scenario subsystem (scenario name and partitioner.balancer joined
 /// the serialization; runs they affect must not hit v1 cache entries).
 /// v3: the scenario is the only workload path (the dist key is gone).
-constexpr int kCanonicalVersion = 3;
+/// v4: seven keys of settings that changed no result or took one value
+/// are gone (the reorder fault, two cost knobs of the sort, two of
+/// validation, the analyzer's finding cap and trace wall-clock export).
+constexpr int kCanonicalVersion = 4;
 
 void kv(std::string& out, const char* key, const std::string& v) {
   out += key;
@@ -113,8 +116,6 @@ std::string PicParams::canonical() const {
   kv(out, "dedup", core::dedup_policy_name(dedup));
   kv(out, "partitioner.buckets_per_rank", partitioner.buckets_per_rank);
   kv(out, "partitioner.samples_per_rank", partitioner.samples_per_rank);
-  kv(out, "partitioner.ops_per_comparison", partitioner.ops_per_comparison);
-  kv(out, "partitioner.ops_per_move", partitioner.ops_per_move);
   kv(out, "partitioner.balancer", partitioner.balancer);
 
   // ---- cost model ----
@@ -147,7 +148,6 @@ std::string PicParams::canonical() const {
   kv(out, "faults.latency_jitter_max_seconds", f.latency_jitter_max_seconds);
   kv(out, "faults.corrupt_prob", f.corrupt_prob);
   kv(out, "faults.duplicate_prob", f.duplicate_prob);
-  kv(out, "faults.reorder_prob", f.reorder_prob);
   kv(out, "faults.max_retries", f.max_retries);
   kv(out, "faults.memory_fault_prob", f.memory_fault_prob);
   {
@@ -176,22 +176,16 @@ std::string PicParams::canonical() const {
   kv(out, "validate.invariants.energy_factor",
      validate.invariants.energy_factor);
   kv(out, "validate.invariants.verify_keys", validate.invariants.verify_keys);
-  kv(out, "validate.invariants.ops_per_particle",
-     validate.invariants.ops_per_particle);
-  kv(out, "validate.checkpoint_ops_per_particle",
-     validate.checkpoint_ops_per_particle);
 
   // ---- observers (effective on/off state; output paths excluded) ----
   const bool analyze_on = analyze.enabled || analyze.audit_determinism ||
                           analysis::analyzer_env_enabled();
   kv(out, "analyze.enabled", analyze_on);
   kv(out, "analyze.audit_determinism", analyze.audit_determinism);
-  kv(out, "analyze.max_findings", analyze.max_findings);
   const bool trace_on = trace.on() || trace::trace_env_path() != nullptr ||
                         trace::trace_metrics_env_path() != nullptr;
   kv(out, "trace.enabled", trace_on);
   kv(out, "trace.flows", trace.flows);
-  kv(out, "trace.include_wall", trace.include_wall);
 
   kv(out, "sample_energy_every", sample_energy_every);
   return out;

@@ -13,7 +13,7 @@ namespace {
 
 using trace::detail::append_num;
 
-constexpr std::string_view kMagic = "picpar-result v2";
+constexpr std::string_view kMagic = "picpar-result v3";
 
 // ---------------------------------------------------------------------------
 // Writing
@@ -278,8 +278,6 @@ std::string serialize_result(const PicResult& r) {
     sep(out);
     append_num(out, rr.faults.duplicated_messages);
     sep(out);
-    append_num(out, rr.faults.reordered_messages);
-    sep(out);
     append_num(out, rr.faults.memory_faults);
     sep(out);
     append_num(out, rr.faults.crashes);
@@ -414,7 +412,6 @@ PicResult parse_result(std::string_view text) {
     rr.faults.jittered_messages = num<std::uint64_t>(faults.field());
     rr.faults.corrupted_deliveries = num<std::uint64_t>(faults.field());
     rr.faults.duplicated_messages = num<std::uint64_t>(faults.field());
-    rr.faults.reordered_messages = num<std::uint64_t>(faults.field());
     rr.faults.memory_faults = num<std::uint64_t>(faults.field());
     rr.faults.crashes = num<std::uint64_t>(faults.field());
     faults.end();

@@ -1,6 +1,7 @@
 #include "pic/simulation.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/audit.hpp"
@@ -57,6 +59,28 @@ void append_initial_slice(const ParticleArray& global, int rank, int p,
     out.push_back(global.rec(static_cast<std::size_t>(i)));
 }
 
+namespace {
+
+/// Whole-string parse of `text` into `out`: false on an empty string,
+/// trailing characters or a value out of range.
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  const auto r = std::from_chars(text.data(), text.data() + text.size(), out);
+  return r.ec == std::errc{} && r.ptr == text.data() + text.size();
+}
+
+/// PICPAR_CRASH_PROB and its siblings: the whole value must be a finite
+/// number.
+double crash_env_number(const char* name, const char* value) {
+  double v = 0.0;
+  if (!parse_whole(value, v) || !std::isfinite(v))
+    throw std::invalid_argument(std::string(name) + "=\"" + value +
+                                "\" is not a finite number");
+  return v;
+}
+
+}  // namespace
+
 std::vector<sim::CrashPoint> parse_crash_schedule(const std::string& spec) {
   std::vector<sim::CrashPoint> out;
   std::size_t pos = 0;
@@ -70,17 +94,14 @@ std::vector<sim::CrashPoint> parse_crash_schedule(const std::string& spec) {
     if (at == std::string::npos || at == 0 || at + 1 >= entry.size())
       throw std::invalid_argument("crash schedule entry '" + entry +
                                   "' is not rank@vtime");
-    std::size_t used = 0;
+    const std::string_view e = entry;
     sim::CrashPoint cp;
-    cp.rank = std::stoi(entry.substr(0, at), &used);
-    if (used != at)
+    if (!parse_whole(e.substr(0, at), cp.rank))
       throw std::invalid_argument("crash schedule rank '" + entry +
                                   "' is not an integer");
-    const std::string tstr = entry.substr(at + 1);
-    cp.vtime = std::stod(tstr, &used);
-    if (used != tstr.size())
+    if (!parse_whole(e.substr(at + 1), cp.vtime) || !std::isfinite(cp.vtime))
       throw std::invalid_argument("crash schedule vtime '" + entry +
-                                  "' is not a number");
+                                  "' is not a finite number");
     if (cp.rank < 0 || cp.vtime < 0.0)
       throw std::invalid_argument("crash schedule entry '" + entry +
                                   "' must be nonnegative");
@@ -96,14 +117,17 @@ void apply_crash_env(sim::FaultConfig& cfg) {
                               sched.end());
   }
   if (const char* s = std::getenv("PICPAR_CRASH_PROB"); s && *s)
-    cfg.crash_prob = std::stod(s);
+    cfg.crash_prob = crash_env_number("PICPAR_CRASH_PROB", s);
   if (const char* s = std::getenv("PICPAR_CRASH_MAX_T"); s && *s)
-    cfg.crash_vtime_max = std::stod(s);
+    cfg.crash_vtime_max = crash_env_number("PICPAR_CRASH_MAX_T", s);
   if (const char* s = std::getenv("PICPAR_CRASH_LEASE"); s && *s)
-    cfg.crash_lease_seconds = std::stod(s);
+    cfg.crash_lease_seconds = crash_env_number("PICPAR_CRASH_LEASE", s);
 }
 
 namespace {
+
+/// Abstract ops charged per particle copied into or out of a checkpoint.
+constexpr std::uint64_t kCheckpointOpsPerParticle = 2;
 
 /// Per-rank, per-iteration raw measurements; merged after the run.
 struct LocalIter {
@@ -363,8 +387,7 @@ PicResult run_pic(const PicParams& params) {
     const auto take_checkpoint = [&](Comm& c, int iter_done) {
       ckpt = mine;
       ckpt_valid = true;
-      c.charge_ops(static_cast<std::uint64_t>(
-          static_cast<double>(mine.size()) * vp.checkpoint_ops_per_particle));
+      c.charge_ops(kCheckpointOpsPerParticle * mine.size());
       if (!crash_mode) return;
       const int seq = ckpt_seq + 1;
       const int p = c.size();
@@ -515,8 +538,7 @@ PicResult run_pic(const PicParams& params) {
           }
         }
       }
-      c.charge_ops(static_cast<std::uint64_t>(
-          static_cast<double>(mine.size()) * vp.checkpoint_ops_per_particle));
+      c.charge_ops(kCheckpointOpsPerParticle * mine.size());
 
       // Re-partition the restored population over the surviving group.
       dom->partitioner.assign_keys(c, mine);
@@ -717,9 +739,7 @@ PicResult run_pic(const PicParams& params) {
           c.set_phase(Phase::kRedistribute);
           const double tr = c.clock();
           mine = ckpt;
-          c.charge_ops(static_cast<std::uint64_t>(
-              static_cast<double>(mine.size()) *
-              vp2.checkpoint_ops_per_particle));
+          c.charge_ops(kCheckpointOpsPerParticle * mine.size());
           dom->partitioner.assign_keys(c, mine);
           dom->partitioner.distribute(c, mine);
           // Rollback rewinds injections/absorptions since the checkpoint;
@@ -838,10 +858,7 @@ PicResult run_pic(const PicParams& params) {
   const bool analyze_on = params.analyze.enabled ||
                           params.analyze.audit_determinism ||
                           analysis::analyzer_env_enabled();
-  analysis::Analyzer::Options aopt;
-  aopt.max_findings =
-      static_cast<std::size_t>(std::max(0, params.analyze.max_findings));
-  analysis::Analyzer analyzer(aopt);
+  analysis::Analyzer analyzer;
 
   // ---- opt-in deterministic tracing (zero cost when off) ----
   TraceParams tp = params.trace;
@@ -1013,7 +1030,6 @@ PicResult run_pic(const PicParams& params) {
     result.timeline_csv = tracer.timeline().to_csv();
     if (!tp.path.empty() || !tp.metrics_path.empty()) {
       trace::ChromeTraceOptions copt;
-      copt.include_wall = tp.include_wall;
       copt.flows = tp.flows;
       // Concurrent run_pic calls (e.g. a bench's --jobs pool) may target
       // the same file; serialize so each write is whole.

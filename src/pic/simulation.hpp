@@ -29,7 +29,8 @@ std::vector<sim::CrashPoint> parse_crash_schedule(const std::string& spec);
 /// PICPAR_CRASH_RANKS ("rank@vtime,..."), PICPAR_CRASH_PROB,
 /// PICPAR_CRASH_MAX_T (per-rank crash probability and latest crash time),
 /// PICPAR_CRASH_LEASE (failure-detection lease seconds). Unset variables
-/// leave the corresponding fields untouched.
+/// leave the corresponding fields untouched; a value that is not wholly a
+/// finite number throws std::invalid_argument naming the variable.
 void apply_crash_env(sim::FaultConfig& cfg);
 
 }  // namespace picpar::pic

@@ -19,7 +19,6 @@ std::string FaultCounters::summary() const {
   add("jittered", jittered_messages);
   add("corrupted", corrupted_deliveries);
   add("duplicated", duplicated_messages);
-  add("reordered", reordered_messages);
   add("memory", memory_faults);
   add("crashes", crashes);
   return out.empty() ? "clean" : out;
@@ -30,7 +29,6 @@ FaultCounters& FaultCounters::operator+=(const FaultCounters& rhs) {
   jittered_messages += rhs.jittered_messages;
   corrupted_deliveries += rhs.corrupted_deliveries;
   duplicated_messages += rhs.duplicated_messages;
-  reordered_messages += rhs.reordered_messages;
   memory_faults += rhs.memory_faults;
   crashes += rhs.crashes;
   return *this;
@@ -132,14 +130,6 @@ bool FaultModel::should_duplicate(int rank) {
   auto& s = stream(rank);
   if (s.rng.uniform() >= cfg_.duplicate_prob) return false;
   ++s.counters.duplicated_messages;
-  return true;
-}
-
-bool FaultModel::should_reorder(int rank) {
-  if (cfg_.reorder_prob <= 0.0) return false;
-  auto& s = stream(rank);
-  if (s.rng.uniform() >= cfg_.reorder_prob) return false;
-  ++s.counters.reordered_messages;
   return true;
 }
 

@@ -2,8 +2,8 @@
 //
 // A FaultModel owned by Machine perturbs a run the way a real cluster
 // would: per-rank compute slowdowns (transient hiccups and persistent
-// stragglers), message latency jitter, message duplication, cross-flow
-// reordering, and payload bit-flips on the wire. Every decision is drawn
+// stragglers), message latency jitter (which reorders arrivals), message
+// duplication, and payload bit-flips on the wire. Every decision is drawn
 // from a per-rank seeded RNG stream, so a faulty run is exactly as
 // reproducible as a clean one: same config + same seed => identical
 // RunResult, fault for fault.
@@ -61,12 +61,6 @@ struct FaultConfig {
   double corrupt_prob = 0.0;
   /// Probability a sent message is delivered twice (same sequence number).
   double duplicate_prob = 0.0;
-  /// Probability a send draws a reorder. The draw is counted
-  /// (FaultCounters::reordered_messages) and changes nothing else: matching
-  /// orders messages by (arrival, src, seq, dup), never by their place in a
-  /// mailbox, so deliveries, clocks and stats equal a run without it.
-  /// Arrival jitter is what reorders deliveries.
-  double reorder_prob = 0.0;
   /// Retransmit attempts before the transport gives up (TransportError).
   int max_retries = 8;
 
@@ -92,7 +86,7 @@ struct FaultConfig {
   }
   bool any_message_faults() const {
     return latency_jitter_prob > 0.0 || corrupt_prob > 0.0 ||
-           duplicate_prob > 0.0 || reorder_prob > 0.0;
+           duplicate_prob > 0.0;
   }
   bool any_crash_faults() const {
     return !crash_schedule.empty() ||
@@ -111,14 +105,13 @@ struct FaultCounters {
   std::uint64_t jittered_messages = 0;
   std::uint64_t corrupted_deliveries = 0;
   std::uint64_t duplicated_messages = 0;
-  std::uint64_t reordered_messages = 0;
   std::uint64_t memory_faults = 0;
   std::uint64_t crashes = 0;
 
   FaultCounters& operator+=(const FaultCounters& rhs);
   std::uint64_t total() const {
     return transient_slowdowns + jittered_messages + corrupted_deliveries +
-           duplicated_messages + reordered_messages + memory_faults + crashes;
+           duplicated_messages + memory_faults + crashes;
   }
   /// One-line "kind=count ..." summary of the non-zero tallies ("clean"
   /// when nothing fired) — for logs and test diagnostics.
@@ -146,7 +139,6 @@ public:
   double latency_jitter(int rank);
   bool should_corrupt_delivery(int rank);
   bool should_duplicate(int rank);
-  bool should_reorder(int rank);
   bool should_memory_fault(int rank);
 
   /// Flip one uniformly chosen bit of `bytes` (no-op on empty payloads).

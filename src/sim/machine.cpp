@@ -638,13 +638,7 @@ int Machine::build_send(int src, int dst, int tag, Payload payload,
   m.checksum = fnv1a(m.payload.data(), m.payload.size());
   m.arrival += faults_.latency_jitter(src);
 
-  const bool duplicate = faults_.should_duplicate(src);
-  // The reorder draw is kept for stream compatibility and its counter;
-  // matching never reads a message's queue position, so a reorder changes
-  // nothing else. Observable reordering comes from jittered arrival
-  // timestamps instead.
-  (void)faults_.should_reorder(src);
-  if (duplicate) {
+  if (faults_.should_duplicate(src)) {
     Message copy = m;  // shares the payload buffer
     copy.dup = true;
     copy.arrival += faults_.latency_jitter(src);

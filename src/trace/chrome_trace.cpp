@@ -71,13 +71,6 @@ std::string to_chrome_json(const TraceData& data,
                   s.t0 * 1e6);
     out += ",\"dur\":";
     append_num(out, (s.t1 - s.t0) * 1e6);
-    if (opt.include_wall) {
-      out += ",\"args\":{\"wall_us\":";
-      append_num(out, s.w0);
-      out += ",\"wall_dur_us\":";
-      append_num(out, s.w1 - s.w0);
-      out += '}';
-    }
     out += '}';
   }
 
@@ -124,7 +117,7 @@ std::string to_chrome_json(const TraceData& data,
     out += "}}";
   }
 
-  if (opt.counters && timeline) {
+  if (timeline) {
     for (const IterSample& s : timeline->iters) {
       for (int r = 0; r < timeline->nranks; ++r) {
         next();

@@ -10,9 +10,9 @@
 // degree-of-imbalance counter ("C" events).
 //
 // Determinism: everything written is derived from virtual time and
-// formatted via std::to_chars, one event per line — with
-// include_wall = false (the default) the output is byte-identical between
-// sequential and parallel execution of the same program.
+// formatted via std::to_chars, one event per line, so the output is
+// byte-identical between sequential and parallel execution of the same
+// program. Wall-clock span times are schedule-dependent and never written.
 #pragma once
 
 #include <string>
@@ -22,17 +22,12 @@
 namespace picpar::trace {
 
 struct ChromeTraceOptions {
-  /// Attach wall-clock args to span events. Wall times are
-  /// schedule-dependent; leave off for comparable traces.
-  bool include_wall = false;
   /// Emit send->recv flow events.
   bool flows = true;
-  /// Emit counter tracks from the redistribution timeline.
-  bool counters = true;
 };
 
 /// Render the trace as a Chrome-trace JSON string. `timeline` (optional)
-/// supplies the counter tracks.
+/// supplies the counter tracks; without it none are written.
 std::string to_chrome_json(const TraceData& data,
                            const ChromeTraceOptions& opt = {},
                            const RedistTimeline* timeline = nullptr);

@@ -13,9 +13,9 @@
 // them (TraceData minus wall-time fields, RedistTimeline, MetricsSnapshot)
 // is byte-identical between sequential and parallel execution.
 //
-// Wall-clock times are recorded alongside the virtual spans but are
-// excluded from every exporter by default; they exist for humans looking
-// at one run, not for comparisons.
+// Wall-clock times are recorded alongside the virtual spans but no
+// exporter writes them; they describe one run on one host, not the
+// simulated machine.
 #pragma once
 
 #include <cstdint>
@@ -221,8 +221,8 @@ private:
 
   /// Wall microseconds since on_run_start, via the project's one sanctioned
   /// wall-clock source (util::wall_clock; see wall-clock-in-sim in
-  /// DESIGN.md section 12). Used only for the human-facing w0/w1 span
-  /// fields, which every exporter excludes by default.
+  /// DESIGN.md section 12). Used only for the w0/w1 span fields, which
+  /// no exporter writes; run_pic sums them into PicResult::phase_wall_us.
   double wall_us() const;
 
   void build_flows();

@@ -2,9 +2,8 @@
 
 #include <cerrno>
 #include <climits>
+#include <cstdio>
 #include <cstdlib>
-
-#include "util/log.hpp"
 
 namespace picpar {
 
@@ -41,8 +40,9 @@ int env_int(const char* name, int fallback) {
   if (!v) return fallback;
   long parsed = 0;
   if (!parse_int_strict(v, INT_MIN, INT_MAX, parsed)) {
-    PICPAR_LOG(kWarn) << name << "=\"" << v
-                      << "\" is not a valid integer; using " << fallback;
+    std::fprintf(stderr,
+                 "[picpar:WARN] %s=\"%s\" is not a valid integer; using %d\n",
+                 name, v, fallback);
     return fallback;
   }
   return static_cast<int>(parsed);

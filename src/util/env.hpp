@@ -1,13 +1,13 @@
 // Shared parsing of PICPAR_* environment variables.
 //
 // Every runtime opt-in (PICPAR_PARALLEL, PICPAR_ANALYZE, PICPAR_TRACE,
-// PICPAR_WORKERS, PICPAR_LOG) goes through these helpers so the semantics
-// are uniform across libraries, benches and examples: a boolean variable
-// is enabled when set to anything but "" or "0"; a path-valued variable is
-// its value under the same rule; an integer variable falls back when unset
-// or malformed. Integer parsing is strict — the whole value must be a
-// decimal integer in range, so typos like "1x" or " 2 " fall back (with a
-// warning) instead of being silently half-parsed. See the README
+// PICPAR_WORKERS) goes through these helpers so the semantics are uniform
+// across libraries, benches and examples: a boolean variable is enabled
+// when set to anything but "" or "0"; a path-valued variable is its value
+// under the same rule; an integer variable falls back when unset or
+// malformed. Integer parsing is strict — the whole value must be a decimal
+// integer in range, so typos like "1x" or " 2 " fall back (with a one-line
+// warning on stderr) instead of being silently half-parsed. See the README
 // "Environment variables" table.
 #pragma once
 
@@ -29,8 +29,9 @@ const char* env_path(const char* name);
 bool parse_int_strict(const char* text, long min, long max, long& out);
 
 /// Integer variable: the strictly parsed value when set, well-formed, and
-/// within int range; else `fallback`. A set-but-rejected value emits one
-/// warning naming the variable so typos are not silently ignored.
+/// within int range; else `fallback`. A set-but-rejected value writes one
+/// line to stderr, `[picpar:WARN] NAME="v" is not a valid integer; using
+/// N`, so typos are not silently ignored.
 int env_int(const char* name, int fallback);
 
 }  // namespace picpar

@@ -1,37 +1,12 @@
-// Streaming statistics and histograms used by diagnostics and benches.
+// Fixed-bin histograms, load-imbalance factors and exact percentiles for
+// benches and diagnostics.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 namespace picpar {
-
-/// Welford-style running statistics: mean/variance/min/max without storing
-/// the samples.
-class RunningStats {
-public:
-  void add(double x);
-  void merge(const RunningStats& other);
-  void reset();
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;   ///< population variance
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
-private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Fixed-bin histogram over [lo, hi); out-of-range samples land in the
 /// boundary bins.

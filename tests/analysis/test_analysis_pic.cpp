@@ -104,16 +104,16 @@ TEST(AnalysisPic, DeterminismAuditPasses) {
 }
 
 TEST(AnalysisPic, SarPolicyWithFaultsIsCleanToo) {
-  // Faulty transport (jitter + duplicates + reordering) changes timing and
-  // delivery, but the recovered program must still be analyzer-clean: the
-  // transport hides all of it below the message interface.
+  // Faulty transport (jitter, which reorders arrivals, and duplicates)
+  // changes timing and delivery, but the recovered program must still be
+  // analyzer-clean: the transport hides all of it below the message
+  // interface.
   auto p = tiny_params();
   p.policy = "sar";
   p.analyze.enabled = true;
   p.faults.latency_jitter_prob = 0.05;
   p.faults.latency_jitter_max_seconds = 1e-4;
   p.faults.duplicate_prob = 0.02;
-  p.faults.reorder_prob = 0.02;
   const auto r = run_pic(p);
   EXPECT_EQ(r.analysis_findings, 0) << r.analysis_report;
 }

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -267,8 +268,15 @@ TEST_F(CrashRecovery, ParseCrashScheduleSpec) {
   EXPECT_THROW(parse_crash_schedule("3"), std::invalid_argument);
   EXPECT_THROW(parse_crash_schedule("@1.0"), std::invalid_argument);
   EXPECT_THROW(parse_crash_schedule("2@"), std::invalid_argument);
-  EXPECT_THROW(parse_crash_schedule("x@1.0"), std::invalid_argument);
+  try {
+    (void)parse_crash_schedule("x@1.0");
+    ADD_FAILURE() << "x@1.0 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'x@1.0'"), std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW(parse_crash_schedule("2@abc"), std::invalid_argument);
+  EXPECT_THROW(parse_crash_schedule("2@nan"), std::invalid_argument);
   EXPECT_THROW(parse_crash_schedule("-1@0.5"), std::invalid_argument);
 }
 
@@ -297,6 +305,26 @@ TEST_F(CrashRecovery, EnvOverridesFoldIntoConfig) {
   apply_crash_env(untouched);
   EXPECT_TRUE(untouched.crash_schedule.empty());
   EXPECT_EQ(untouched.crash_prob, 0.0);
+
+  // A value must be a finite number as a whole: trailing characters,
+  // non-numbers, overflow and NaN throw, naming the variable and its value.
+  for (const char* var :
+       {"PICPAR_CRASH_PROB", "PICPAR_CRASH_MAX_T", "PICPAR_CRASH_LEASE"}) {
+    for (const char* bad : {"0.5x", "x", "1e999", "nan"}) {
+      ::setenv(var, bad, 1);
+      sim::FaultConfig c;
+      try {
+        apply_crash_env(c);
+        ADD_FAILURE() << var << "=" << bad << " accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string(var) + "=\"" + bad + "\""),
+                  std::string::npos)
+            << what;
+      }
+      ::unsetenv(var);
+    }
+  }
 }
 
 }  // namespace

@@ -163,11 +163,14 @@ TEST(ResultIo, MalformedInputThrows) {
   const std::string s = serialize_result(sample_result());
   EXPECT_THROW(parse_result(""), std::runtime_error);
   EXPECT_THROW(parse_result("picpar-result v0\n"), std::runtime_error);
-  // A payload of the previous version, which still stored wall times and a
-  // metrics CSV, is refused rather than half-read.
-  std::string v1 = s;
-  v1.replace(0, v1.find('\n'), "picpar-result v1");
-  EXPECT_THROW(parse_result(v1), std::runtime_error);
+  // Payloads of earlier versions are refused rather than half-read: v1
+  // still stored wall times and a metrics CSV, v2 a reorder counter in each
+  // rank's faults row.
+  for (const char* old : {"picpar-result v1", "picpar-result v2"}) {
+    std::string prev = s;
+    prev.replace(0, prev.find('\n'), old);
+    EXPECT_THROW(parse_result(prev), std::runtime_error) << old;
+  }
   EXPECT_THROW(parse_result("garbage"), std::runtime_error);
   // Truncation at any section boundary.
   for (const std::size_t cut :

@@ -102,7 +102,6 @@ TEST(ModeEquivalence, PicPipelineUnderMessageFaults) {
   p.faults.latency_jitter_prob = 0.3;
   p.faults.latency_jitter_max_seconds = 500e-6;
   p.faults.duplicate_prob = 0.15;
-  p.faults.reorder_prob = 0.15;
   p.faults.corrupt_prob = 0.02;
   expect_pic_identical(run_mode(p, false), run_mode(p, true));
 }
@@ -248,15 +247,15 @@ TEST(ModeEquivalence, WildcardStressObservesIdenticalDeliverySequence) {
   picpar::testing::expect_identical(seq_res, par_res);
 }
 
-// Same stress with duplicates and reordering: transport dedup decisions
-// (which copy is discarded) are part of the deterministic contract.
+// Same stress with duplicates and jitter-reordered arrivals: transport
+// dedup decisions (which copy is discarded) are part of the deterministic
+// contract.
 TEST(ModeEquivalence, WildcardStressUnderDupAndReorder) {
   auto make = [] {
     FaultConfig fc;
     fc.latency_jitter_prob = 0.4;
     fc.latency_jitter_max_seconds = 1e-3;
     fc.duplicate_prob = 0.3;
-    fc.reorder_prob = 0.3;
     return new Machine(6, CostModel::cm5(), fc);
   };
   auto program = [](Comm& c) {
@@ -289,7 +288,6 @@ TEST(ModeEquivalence, WildcardStressUnderDupAndReorderAtP13) {
     fc.latency_jitter_prob = 0.4;
     fc.latency_jitter_max_seconds = 1e-3;
     fc.duplicate_prob = 0.3;
-    fc.reorder_prob = 0.3;
     return new Machine(13, CostModel::cm5(), fc);
   };
   auto program = [](Comm& c) {

@@ -40,7 +40,6 @@ inline void expect_identical(const sim::RunResult& seq,
     EXPECT_EQ(a.faults.jittered_messages, b.faults.jittered_messages);
     EXPECT_EQ(a.faults.corrupted_deliveries, b.faults.corrupted_deliveries);
     EXPECT_EQ(a.faults.duplicated_messages, b.faults.duplicated_messages);
-    EXPECT_EQ(a.faults.reordered_messages, b.faults.reordered_messages);
     EXPECT_EQ(a.faults.memory_faults, b.faults.memory_faults);
     ASSERT_EQ(a.links.size(), b.links.size());
     for (std::size_t s = 0; s < a.links.size(); ++s) {

@@ -3,6 +3,8 @@
 // suppression, ordering guarantees, and deadlock diagnostics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -56,7 +58,6 @@ FaultConfig all_message_faults() {
   FaultConfig fc;
   fc.corrupt_prob = 0.3;
   fc.duplicate_prob = 0.3;
-  fc.reorder_prob = 0.3;
   fc.latency_jitter_prob = 0.5;
   fc.latency_jitter_max_seconds = 5e-5;
   return fc;
@@ -136,7 +137,6 @@ TEST_P(FaultyCollectives, EveryRankGetsTheRootsBytes) {
   const FaultCounters f = a.faults_total();
   EXPECT_GT(f.corrupted_deliveries, 0u);
   EXPECT_GT(f.duplicated_messages, 0u);
-  EXPECT_GT(f.reordered_messages, 0u);
   EXPECT_GT(f.jittered_messages, 0u);
   EXPECT_GT(a.transport_total().corruptions_detected, 0u);
   EXPECT_GT(a.transport_total().dup_discards, 0u);
@@ -166,7 +166,6 @@ TEST(Faults, SameSeedSameRun) {
   cfg.latency_jitter_max_seconds = 1e-3;
   cfg.corrupt_prob = 0.1;
   cfg.duplicate_prob = 0.1;
-  cfg.reorder_prob = 0.1;
 
   Machine m1(5, CostModel::cm5(), cfg);
   Machine m2(5, CostModel::cm5(), cfg);
@@ -242,12 +241,14 @@ TEST(Faults, DuplicatesAreDiscarded) {
 
 TEST(Faults, ReorderingPreservesPerFlowFifo) {
   FaultConfig cfg;
-  cfg.reorder_prob = 1.0;
+  cfg.latency_jitter_prob = 1.0;
+  cfg.latency_jitter_max_seconds = 1e-3;
   Machine m(4, CostModel::cm5(), cfg);
-  // Every send draws a reorder, which is counted and changes nothing else:
-  // matching takes each flow's lowest sequence number, so two interleaved
-  // flows to one destination each still arrive in send order.
-  m.run([](Comm& c) {
+  // Every send is jittered, so arrival times overtake send order. Matching
+  // takes each flow's lowest sequence number, so two interleaved flows to
+  // one destination each still arrive in send order.
+  std::atomic<int> overtaken{0};
+  m.run([&overtaken](Comm& c) {
     const int p = c.size();
     const int next = (c.rank() + 1) % p;
     const int prev = (c.rank() + p - 1) % p;
@@ -255,90 +256,22 @@ TEST(Faults, ReorderingPreservesPerFlowFifo) {
       c.send_value(next, 1, k);        // two interleaved flows to the same
       c.send_value(next, 2, 100 + k);  // destination: tags 1 and 2
     }
-    for (int k = 0; k < 10; ++k)
-      EXPECT_EQ(c.recv_value<int>(prev, 1), k) << "flow (tag 1) reordered";
+    double latest = 0.0;
+    for (int k = 0; k < 10; ++k) {
+      const Message msg = c.recv_msg(prev, 1);
+      int v = -1;
+      std::memcpy(&v, msg.payload.data(), sizeof v);
+      EXPECT_EQ(v, k) << "flow (tag 1) reordered";
+      if (msg.arrival < latest) ++overtaken;
+      latest = std::max(latest, msg.arrival);
+    }
     for (int k = 0; k < 10; ++k)
       EXPECT_EQ(c.recv_value<int>(prev, 2), 100 + k)
           << "flow (tag 2) reordered";
   });
-}
-
-/// Traffic over several (src, tag) flows into each rank, taken by pinned,
-/// wildcard-source and wildcard-tag receives; `got` logs what each receive
-/// returned, in receive order.
-void flows_program(Comm& c, std::vector<long>& got) {
-  const int r = c.rank();
-  const int p = c.size();
-  const int next = (r + 1) % p;
-  const int prev = (r + p - 1) % p;
-  c.set_phase(Phase::kScatter);
-  for (int k = 0; k < 4; ++k) {
-    c.send_value(next, 1, 100 * r + k);
-    c.send_value(next, 2, 100 * r + 10 + k);
-    c.send_value((r + 2) % p, 1, 100 * r + 20 + k);
-  }
-  c.charge(1e-6 * (r % 3));
-  // Tag 2 first, so tag-1 messages of the same source wait behind it.
-  for (int k = 0; k < 4; ++k) got.push_back(c.recv_value<int>(prev, 2));
-
-  c.set_phase(Phase::kGather);
-  for (int k = 0; k < 8; ++k) {
-    int src = -1;
-    const int v = c.recv<int>(kAnySource, 1, &src)[0];
-    got.push_back(1000L * src + v);
-  }
-
-  c.set_phase(Phase::kPush);
-  c.send_value(next, 3 + r % 2, r);
-  c.send_value(next, 5, r);
-  for (int k = 0; k < 2; ++k) {
-    const Message m = c.recv_msg(prev, kAnyTag);
-    int v = 0;
-    std::memcpy(&v, m.payload.data(), sizeof v);
-    got.push_back(1000L * m.tag + v);
-  }
-  c.barrier();
-}
-
-TEST(Faults, ReorderChangesNoDelivery) {
-  // A reorder is drawn and counted, and nothing else: with a draw on every
-  // send, each receive returns what it returns on a fault-free fabric, and
-  // clocks and per-phase stats are equal too.
-  constexpr int kRanks = 6;
-  const auto run = [](const FaultConfig& cfg,
-                      std::vector<std::vector<long>>& got) {
-    got.assign(kRanks, {});
-    Machine m(kRanks, CostModel::cm5(), cfg);
-    return m.run([&](Comm& c) {
-      flows_program(c, got[static_cast<std::size_t>(c.rank())]);
-    });
-  };
-  FaultConfig reorder;
-  reorder.reorder_prob = 1.0;
-  std::vector<std::vector<long>> got_clean, got_reorder;
-  const RunResult clean = run(FaultConfig{}, got_clean);
-  const RunResult reordered = run(reorder, got_reorder);
-
-  EXPECT_EQ(got_reorder, got_clean);
-  for (std::size_t r = 0; r < kRanks; ++r) {
-    SCOPED_TRACE("rank " + std::to_string(r));
-    ASSERT_EQ(got_clean[r].size(), 14u);
-    EXPECT_EQ(reordered.ranks[r].clock, clean.ranks[r].clock);
-    for (int ph = 0; ph < kNumPhases; ++ph) {
-      const auto& a = clean.ranks[r].stats.phase(static_cast<Phase>(ph));
-      const auto& b = reordered.ranks[r].stats.phase(static_cast<Phase>(ph));
-      EXPECT_EQ(b.msgs_sent, a.msgs_sent) << "phase " << ph;
-      EXPECT_EQ(b.bytes_sent, a.bytes_sent) << "phase " << ph;
-      EXPECT_EQ(b.msgs_recv, a.msgs_recv) << "phase " << ph;
-      EXPECT_EQ(b.bytes_recv, a.bytes_recv) << "phase " << ph;
-      EXPECT_EQ(b.comm_seconds, a.comm_seconds) << "phase " << ph;
-      EXPECT_EQ(b.compute_seconds, a.compute_seconds) << "phase " << ph;
-    }
-    FaultCounters f = reordered.ranks[r].faults;
-    EXPECT_GT(f.reordered_messages, 0u);
-    f.reordered_messages = 0;
-    EXPECT_EQ(f.total(), 0u);
-  }
+  // Some message arrived before one sent ahead of it on its own flow, so
+  // the order above came from matching, not from the arrival times.
+  EXPECT_GT(overtaken.load(), 0);
 }
 
 TEST(Faults, StragglerRaisesMakespan) {
@@ -373,17 +306,17 @@ TEST(Faults, JitterDelaysButDelivers) {
 TEST(FaultCounters, ModelCountsDrawsPerRankAndSumsTotals) {
   FaultConfig cfg;
   cfg.duplicate_prob = 1.0;
-  cfg.reorder_prob = 1.0;
+  cfg.corrupt_prob = 1.0;
   FaultModel model(cfg, 3);
   for (int k = 0; k < 5; ++k) EXPECT_TRUE(model.should_duplicate(0));
-  for (int k = 0; k < 3; ++k) EXPECT_TRUE(model.should_reorder(1));
+  for (int k = 0; k < 3; ++k) EXPECT_TRUE(model.should_corrupt_delivery(1));
   EXPECT_EQ(model.counters(0).duplicated_messages, 5u);
-  EXPECT_EQ(model.counters(0).reordered_messages, 0u);
-  EXPECT_EQ(model.counters(1).reordered_messages, 3u);
+  EXPECT_EQ(model.counters(0).corrupted_deliveries, 0u);
+  EXPECT_EQ(model.counters(1).corrupted_deliveries, 3u);
   EXPECT_EQ(model.counters(2).total(), 0u);
   const auto t = model.total_counters();
   EXPECT_EQ(t.duplicated_messages, 5u);
-  EXPECT_EQ(t.reordered_messages, 3u);
+  EXPECT_EQ(t.corrupted_deliveries, 3u);
   EXPECT_EQ(t.total(), 8u);
   model.reset();
   EXPECT_EQ(model.total_counters().total(), 0u);
@@ -393,10 +326,10 @@ TEST(FaultCounters, SummaryNamesOnlyFiringKinds) {
   FaultCounters c;
   EXPECT_EQ(c.summary(), "clean");
   c.duplicated_messages = 4;
-  c.reordered_messages = 2;
+  c.corrupted_deliveries = 2;
   const auto s = c.summary();
   EXPECT_NE(s.find("duplicated=4"), std::string::npos) << s;
-  EXPECT_NE(s.find("reordered=2"), std::string::npos) << s;
+  EXPECT_NE(s.find("corrupted=2"), std::string::npos) << s;
   EXPECT_EQ(s.find("jittered"), std::string::npos) << s;
 }
 
@@ -423,30 +356,9 @@ TEST(FaultCounters, DuplicationIsChargedToTheSender) {
   EXPECT_EQ(run.ranks[0].transport_total().dup_discards, 0u);
 }
 
-TEST(FaultCounters, ReorderCounterCountsDrawsNotOvertakes) {
-  // A single-flow stream cannot actually be reordered (per-flow FIFO), but
-  // the model still draws and counts the injection attempt. The counter is
-  // "reorder events injected", LinkStats/payload order tell what happened.
-  FaultConfig cfg;
-  cfg.reorder_prob = 1.0;
-  Machine m(2, CostModel::cm5(), cfg);
-  const auto run = m.run([](Comm& c) {
-    const int n = 8;
-    if (c.rank() == 0)
-      for (int k = 0; k < n; ++k) c.send_value(1, 1, k);
-    if (c.rank() == 1) {
-      for (int k = 0; k < n; ++k)
-        EXPECT_EQ(c.recv_value<int>(0, 1), k) << "single flow must stay FIFO";
-    }
-  });
-  EXPECT_GT(run.ranks[0].faults.reordered_messages, 0u);
-  EXPECT_EQ(run.ranks[1].faults.reordered_messages, 0u);
-}
-
 TEST(FaultCounters, AggregateMatchesPerRankSum) {
   FaultConfig cfg;
   cfg.duplicate_prob = 0.5;
-  cfg.reorder_prob = 0.5;
   cfg.latency_jitter_prob = 0.5;
   cfg.latency_jitter_max_seconds = 1e-4;
   Machine m(4, CostModel::cm5(), cfg);
@@ -455,7 +367,6 @@ TEST(FaultCounters, AggregateMatchesPerRankSum) {
   for (const auto& r : run.ranks) sum += r.faults;
   const auto t = run.faults_total();
   EXPECT_EQ(t.duplicated_messages, sum.duplicated_messages);
-  EXPECT_EQ(t.reordered_messages, sum.reordered_messages);
   EXPECT_EQ(t.jittered_messages, sum.jittered_messages);
   EXPECT_EQ(t.total(), sum.total());
   EXPECT_GT(t.total(), 0u);

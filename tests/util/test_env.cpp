@@ -4,8 +4,7 @@
 
 #include <climits>
 #include <cstdlib>
-
-#include "util/log.hpp"
+#include <string>
 
 namespace picpar {
 namespace {
@@ -80,7 +79,14 @@ TEST(EnvInt, UnsetUsesFallback) {
 
 TEST(EnvInt, TrailingGarbageUsesFallback) {
   ScopedEnv e("PICPAR_TEST_INT_BAD", "1x");
-  EXPECT_EQ(env_int("PICPAR_TEST_INT_BAD", 3), 3);
+  ::testing::internal::CaptureStderr();
+  const int v = env_int("PICPAR_TEST_INT_BAD", 3);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(v, 3);
+  // Exactly one warning, naming the variable, its value and the fallback.
+  EXPECT_EQ(err,
+            "[picpar:WARN] PICPAR_TEST_INT_BAD=\"1x\" is not a valid integer; "
+            "using 3\n");
 }
 
 TEST(EnvInt, PaddedValueUsesFallback) {
@@ -108,30 +114,6 @@ TEST(EnvEnabled, BooleanRule) {
   }
   ::unsetenv("PICPAR_TEST_BOOL");
   EXPECT_FALSE(env_enabled("PICPAR_TEST_BOOL"));
-}
-
-TEST(ParseLogLevel, StrictRecognizesAllLevelsAndRejectsTypos) {
-  LogLevel l = LogLevel::kError;
-  EXPECT_TRUE(parse_log_level_strict("error", l));
-  EXPECT_EQ(l, LogLevel::kError);
-  EXPECT_TRUE(parse_log_level_strict("warn", l));
-  EXPECT_EQ(l, LogLevel::kWarn);
-  EXPECT_TRUE(parse_log_level_strict("info", l));
-  EXPECT_EQ(l, LogLevel::kInfo);
-  EXPECT_TRUE(parse_log_level_strict("debug", l));
-  EXPECT_EQ(l, LogLevel::kDebug);
-  EXPECT_TRUE(parse_log_level_strict("trace", l));
-  EXPECT_EQ(l, LogLevel::kTrace);
-
-  l = LogLevel::kDebug;
-  EXPECT_FALSE(parse_log_level_strict("inf", l));
-  EXPECT_FALSE(parse_log_level_strict("INFO", l));
-  EXPECT_FALSE(parse_log_level_strict("", l));
-  EXPECT_EQ(l, LogLevel::kDebug);  // untouched on failure
-
-  // Lenient wrapper still maps unknown to kInfo for legacy callers.
-  EXPECT_EQ(parse_log_level("nonsense"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("warn"), LogLevel::kWarn);
 }
 
 }  // namespace

@@ -2,79 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace picpar {
 namespace {
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.sum(), 0.0);
-}
-
-TEST(RunningStats, SingleValue) {
-  RunningStats s;
-  s.add(4.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_EQ(s.mean(), 4.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 4.0);
-  EXPECT_EQ(s.max(), 4.0);
-}
-
-TEST(RunningStats, MatchesDirectComputation) {
-  RunningStats s;
-  const double xs[] = {1.0, 2.0, 4.0, 8.0, 16.0};
-  double sum = 0.0;
-  for (double x : xs) {
-    s.add(x);
-    sum += x;
-  }
-  const double mean = sum / 5.0;
-  double var = 0.0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= 5.0;
-  EXPECT_DOUBLE_EQ(s.mean(), mean);
-  EXPECT_NEAR(s.variance(), var, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 16.0);
-  EXPECT_NEAR(s.sum(), sum, 1e-12);
-}
-
-TEST(RunningStats, MergeEqualsSequential) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i * 0.7) * 10.0;
-    (i < 20 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  EXPECT_EQ(a.count(), 2u);
-}
-
-TEST(RunningStats, ResetClears) {
-  RunningStats s;
-  s.add(5.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-}
 
 TEST(Histogram, RejectsBadArguments) {
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
