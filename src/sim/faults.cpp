@@ -1,5 +1,6 @@
 #include "sim/faults.hpp"
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -54,6 +55,34 @@ FaultModel::FaultModel(FaultConfig cfg, int nranks)
   }
   if (cfg_.crash_lease_seconds < 0.0)
     throw std::invalid_argument("FaultModel: crash lease must be >= 0");
+  // Probabilities are compared with uniform draws in [0, 1). Jitter and the
+  // factors stretch arrivals and charges: a negative one would move a clock
+  // backwards, which the engine's lower-bound commit rule (jitter >= 0,
+  // monotone clocks) assumes never happens. NaN fails every test.
+  const auto require = [](bool ok, const char* field, const char* range) {
+    if (!ok)
+      throw std::invalid_argument(std::string("FaultModel: ") + field +
+                                  " must be " + range);
+  };
+  const auto prob = [&](double v, const char* field) {
+    require(v >= 0.0 && v <= 1.0, field, "in [0, 1]");
+  };
+  prob(cfg_.transient_slow_prob, "transient_slow_prob");
+  prob(cfg_.latency_jitter_prob, "latency_jitter_prob");
+  prob(cfg_.corrupt_prob, "corrupt_prob");
+  prob(cfg_.duplicate_prob, "duplicate_prob");
+  prob(cfg_.memory_fault_prob, "memory_fault_prob");
+  prob(cfg_.crash_prob, "crash_prob");
+  const auto nonneg = [&](double v, const char* field) {
+    require(std::isfinite(v) && v >= 0.0, field, "finite and >= 0");
+  };
+  nonneg(cfg_.latency_jitter_max_seconds, "latency_jitter_max_seconds");
+  nonneg(cfg_.crash_vtime_max, "crash_vtime_max");
+  const auto positive = [&](double v, const char* field) {
+    require(std::isfinite(v) && v > 0.0, field, "finite and > 0");
+  };
+  positive(cfg_.transient_slow_factor, "transient_slow_factor");
+  positive(cfg_.straggler_factor, "straggler_factor");
   streams_.resize(static_cast<std::size_t>(nranks));
   reset();
 }
