@@ -58,9 +58,10 @@ InvariantReport InvariantChecker::check(
   // ---- local scans ----
   std::size_t bad_finite = 0, bad_domain = 0, bad_key = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    // A finite gamma needs finite momenta and also rules out a finite
+    // momentum whose |u|^2 overflows (a flipped exponent bit).
     const bool finite = std::isfinite(p.x[i]) && std::isfinite(p.y[i]) &&
-                        std::isfinite(p.ux[i]) && std::isfinite(p.uy[i]) &&
-                        std::isfinite(p.uz[i]);
+                        std::isfinite(p.gamma(i));
     if (!finite) {
       ++bad_finite;
       continue;  // domain/key checks are meaningless on non-finite fields

@@ -97,6 +97,12 @@ TEST(Invariants, NanMomentumFiresFinite) {
       p.ux[0] = std::numeric_limits<double>::quiet_NaN();
   });
   EXPECT_TRUE(mask & static_cast<std::uint32_t>(Invariant::kFinite));
+  // A finite momentum whose Lorentz factor overflows (gamma = inf), as a
+  // flipped exponent bit leaves it.
+  const auto huge = fx.check_with(3, {}, [](int rank, ParticleArray& p) {
+    if (rank == 1 && !p.empty()) p.ux[0] = 1e300;
+  });
+  EXPECT_TRUE(huge & static_cast<std::uint32_t>(Invariant::kFinite));
 }
 
 TEST(Invariants, EscapedPositionFiresDomain) {

@@ -3,6 +3,8 @@
 // determinism of faulty runs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "pic/simulation.hpp"
 
 namespace picpar::pic {
@@ -78,6 +80,9 @@ TEST(Recovery, MemoryFaultTriggersRollbackAndConservesParticles) {
   EXPECT_GE(r.recoveries, 1);
   // Rollback restores a full population: nothing lost, nothing duplicated.
   EXPECT_EQ(r.final_particles, r.initial_particles);
+  // No corrupt momentum survives the checks: a flip that leaves a finite
+  // momentum with an infinite Lorentz factor is caught too.
+  EXPECT_TRUE(std::isfinite(r.kinetic_energy)) << r.kinetic_energy;
   // Recovered iterations are flagged and count as redistributions.
   bool saw_recovered = false;
   for (const auto& it : r.iters) {
