@@ -1,8 +1,10 @@
 #include "core/ghost_exchange.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace picpar::core {
 
@@ -188,35 +190,39 @@ void GhostExchange::flush_scatter(sim::Comm& comm, mesh::FieldState& f) {
 }
 
 void GhostExchange::fetch_fields(sim::Comm& comm, const mesh::FieldState& f) {
-  // Owner side: reply with field values in request order.
+  // Owner side: reply with field values in request order, packed straight
+  // into the message buffer. The staging high-water mark keeps counting the
+  // reply's bytes, as when it was built in a vector first.
+  constexpr std::size_t kSlotBytes = kField * sizeof(double);
   for (const auto& req : requests_) {
-    std::vector<double> buf;
-    buf.reserve(req.locals.size() * kField);
-    for (const auto l : req.locals) {
-      buf.push_back(f.ex[l]);
-      buf.push_back(f.ey[l]);
-      buf.push_back(f.ez[l]);
-      buf.push_back(f.bx[l]);
-      buf.push_back(f.by[l]);
-      buf.push_back(f.bz[l]);
-    }
-    peak_msg_bytes_ = std::max(peak_msg_bytes_, buf.capacity() * sizeof(double));
-    comm.send(req.src, kGatherTag, buf);
+    const std::size_t bytes = req.locals.size() * kSlotBytes;
+    peak_msg_bytes_ = std::max(peak_msg_bytes_, bytes);
+    sim::Payload reply(bytes, [&](std::byte* out) {
+      for (const auto l : req.locals) {
+        const double v[kField] = {f.ex[l], f.ey[l], f.ez[l],
+                                  f.bx[l], f.by[l], f.bz[l]};
+        std::memcpy(out, v, kSlotBytes);
+        out += kSlotBytes;
+      }
+    });
+    comm.send_bytes(req.src, kGatherTag, std::move(reply));
   }
 
   // Ghost side: receive per touched owner rank (ascending, matching the
-  // send order of flush_scatter), store into field_ by slot.
+  // send order of flush_scatter), and copy each slot's values from the
+  // message buffer into field_.
   field_.assign(gids_.size() * kField, 0.0);
   for (const auto& e : rank_slots_) {
     const auto& slots = e.value;
     if (slots.empty()) continue;
-    auto buf = comm.recv<double>(e.rank, kGatherTag);
-    if (buf.size() != slots.size() * kField)
+    const sim::Payload msg = comm.recv_payload<double>(e.rank, kGatherTag);
+    if (msg.size() != slots.size() * kSlotBytes)
       throw std::runtime_error("GhostExchange: bad gather reply length");
-    for (std::size_t i = 0; i < slots.size(); ++i)
-      for (int k = 0; k < kField; ++k)
-        field_[static_cast<std::size_t>(slots[i]) * kField +
-               static_cast<std::size_t>(k)] = buf[i * kField + static_cast<std::size_t>(k)];
+    const std::byte* in = msg.data();
+    for (const auto s : slots) {
+      std::memcpy(&field_[std::size_t{s} * kField], in, kSlotBytes);
+      in += kSlotBytes;
+    }
   }
 }
 

@@ -1,8 +1,10 @@
 #include "mesh/local_grid.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace picpar::mesh {
 
@@ -110,31 +112,39 @@ LocalGrid::LocalGrid(const GridPartition& part, int rank)
   }
 }
 
-void LocalGrid::halo_exchange(sim::Comm& comm,
-                              std::vector<std::vector<double>*> fields) const {
-  const std::size_t nf = fields.size();
+void LocalGrid::halo_exchange(
+    sim::Comm& comm, std::initializer_list<std::vector<double>*> fields) const {
   for (const auto* f : fields)
     if (f->size() != total())
       throw std::invalid_argument("halo_exchange: field has wrong size");
 
   // Post all sends first (buffered), then receive; exact-source matching
-  // keeps streams separate.
+  // keeps streams separate. Values are packed into, and copied out of, the
+  // message buffers themselves.
+  constexpr std::size_t kValue = sizeof(double);
   for (const auto& peer : peers_) {
     if (peer.send.empty()) continue;
-    std::vector<double> buf;
-    buf.reserve(peer.send.size() * nf);
-    for (const auto* f : fields)
-      for (const auto l : peer.send) buf.push_back((*f)[l]);
-    comm.send(peer.rank, kHaloTag, buf);
+    const std::size_t bytes = peer.send.size() * fields.size() * kValue;
+    sim::Payload msg(bytes, [&](std::byte* out) {
+      for (const auto* f : fields)
+        for (const auto l : peer.send) {
+          std::memcpy(out, &(*f)[l], kValue);
+          out += kValue;
+        }
+    });
+    comm.send_bytes(peer.rank, kHaloTag, std::move(msg));
   }
   for (const auto& peer : peers_) {
     if (peer.recv.empty()) continue;
-    auto buf = comm.recv<double>(peer.rank, kHaloTag);
-    if (buf.size() != peer.recv.size() * nf)
+    const sim::Payload msg = comm.recv_payload<double>(peer.rank, kHaloTag);
+    if (msg.size() != peer.recv.size() * fields.size() * kValue)
       throw std::runtime_error("halo_exchange: bad message length");
-    std::size_t pos = 0;
+    const std::byte* in = msg.data();
     for (auto* f : fields)
-      for (const auto l : peer.recv) (*f)[l] = buf[pos++];
+      for (const auto l : peer.recv) {
+        std::memcpy(&(*f)[l], in, kValue);
+        in += kValue;
+      }
   }
 }
 

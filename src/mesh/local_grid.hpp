@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -67,7 +68,7 @@ public:
   /// One message per neighbor rank carrying all fields back-to-back —
   /// communication coalescing per Section 3.2.
   void halo_exchange(sim::Comm& comm,
-                     std::vector<std::vector<double>*> fields) const;
+                     std::initializer_list<std::vector<double>*> fields) const;
 
   /// Convenience: allocate a zeroed field of size total().
   std::vector<double> make_field() const {

@@ -6,45 +6,44 @@
 
 namespace picpar::sim {
 
-namespace {
-
-// Serialized record stream used by the binomial allgatherv: a sequence of
-// (origin: u64, length: u64, payload bytes) records.
-void append_record(std::vector<std::byte>& buf, std::uint64_t origin,
-                   std::span<const std::byte> data) {
-  const std::uint64_t len = data.size();
-  const std::size_t base = buf.size();
-  buf.resize(base + 16 + len);
-  std::memcpy(buf.data() + base, &origin, 8);
-  std::memcpy(buf.data() + base + 8, &len, 8);
-  if (len) std::memcpy(buf.data() + base + 16, data.data(), len);
-}
-
-}  // namespace
-
 Payload Comm::allgatherv_stream(std::span<const std::byte> mine) {
   const int p = size();
   CollectiveScope scope(*this);
 
   // Binomial-tree gather of records to group rank 0 (all ranks below are
-  // group indices; send/recv translate to physical ranks). Rank r collects
-  // the subtrees of r|1, r|2, r|4, ... in that order, and the subtree of
-  // r|m is the contiguous rank range [r|m, r|m + m), so every accumulated
-  // stream — rank 0's included — is already in ascending rank order.
+  // group indices; send/recv translate to physical ranks). The record
+  // stream is a sequence of (origin: u64, length: u64, bytes) records. Rank
+  // r collects the subtrees of r|1, r|2, r|4, ... in that order, and the
+  // subtree of r|m is the contiguous rank range [r|m, r|m + m), so its own
+  // record followed by the received streams, rank 0's included, is already
+  // in ascending rank order.
   const int gr = rank();
-  std::vector<std::byte> acc;
-  append_record(acc, static_cast<std::uint64_t>(gr), mine);
+  std::vector<Payload> subtrees;
+  const auto gathered = [&] {
+    std::size_t n = kRecordHeader + mine.size();
+    for (const Payload& s : subtrees) n += s.size();
+    return Payload(n, [&](std::byte* out) {
+      const auto origin = static_cast<std::uint64_t>(gr);
+      const std::uint64_t len = mine.size();
+      std::memcpy(out, &origin, 8);
+      std::memcpy(out + 8, &len, 8);
+      out += kRecordHeader;
+      if (!mine.empty()) std::memcpy(out, mine.data(), mine.size());
+      out += mine.size();
+      for (const Payload& s : subtrees) {
+        if (s.size() != 0) std::memcpy(out, s.data(), s.size());
+        out += s.size();
+      }
+    });
+  };
   constexpr int kTagGather = -450;
   for (int mask = 1; mask < p; mask <<= 1) {
     if ((gr & mask) != 0) {
-      send_bytes(gr & ~mask, kTagGather, Payload(std::move(acc)));
+      send_bytes(gr & ~mask, kTagGather, gathered());
       break;
     }
     const int partner = gr | mask;
-    if (partner < p) {
-      const Message m = recv_msg(partner, kTagGather);
-      acc.insert(acc.end(), m.payload.data(), m.payload.data() + m.bytes());
-    }
+    if (partner < p) subtrees.push_back(recv_msg(partner, kTagGather).payload);
   }
 
   // Binomial broadcast of the rank-ordered stream from rank 0. Each rank
@@ -52,7 +51,7 @@ Payload Comm::allgatherv_stream(std::span<const std::byte> mine) {
   // 0's one buffer.
   constexpr int kTagCat = -460;
   Payload stream;
-  if (gr == 0) stream = Payload(std::move(acc));
+  if (gr == 0) stream = gathered();
   int mask = 1;
   while (mask < p) {
     if (gr & mask) {

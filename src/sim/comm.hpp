@@ -196,11 +196,23 @@ public:
     return decode<T>(m.payload);
   }
 
+  /// Blocking receive of a message carrying T values, which stay in its
+  /// buffer: the receiver copies them out of payload.data() where it needs
+  /// them, instead of decoding a vector first.
+  template <typename T>
+  Payload recv_payload(int src = kAnySource, int tag = kAnyTag) {
+    return recv_typed<T>(src, tag).payload;
+  }
+
   template <typename T>
   T recv_value(int src = kAnySource, int tag = kAnyTag) {
-    auto v = recv<T>(src, tag);
-    if (v.size() != 1) throw std::runtime_error("recv_value: expected 1 element");
-    return v[0];
+    const Payload payload = recv_payload<T>(src, tag);
+    check_multiple<T>(payload);
+    if (payload.size() != sizeof(T))
+      throw std::runtime_error("recv_value: expected 1 element");
+    T v{};
+    std::memcpy(&v, payload.data(), sizeof(T));
+    return v;
   }
 
   // ---- collectives (all ranks must call with matching arguments) ----
@@ -276,15 +288,19 @@ private:
   template <typename T>
   static Payload encode(std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> buf(data.size_bytes());
-    if (!data.empty()) std::memcpy(buf.data(), data.data(), data.size_bytes());
-    return Payload(std::move(buf));
+    return Payload(data.size_bytes(), [data](std::byte* out) {
+      if (!data.empty()) std::memcpy(out, data.data(), data.size_bytes());
+    });
   }
   template <typename T>
-  static std::vector<T> decode(const Payload& payload) {
+  static void check_multiple(const Payload& payload) {
     static_assert(std::is_trivially_copyable_v<T>);
     if (payload.size() % sizeof(T) != 0)
       throw std::runtime_error("recv: payload size not a multiple of sizeof(T)");
+  }
+  template <typename T>
+  static std::vector<T> decode(const Payload& payload) {
+    check_multiple<T>(payload);
     std::vector<T> out(payload.size() / sizeof(T));
     if (!out.empty()) std::memcpy(out.data(), payload.data(), payload.size());
     return out;
@@ -437,10 +453,17 @@ std::vector<T> Comm::allreduce(std::vector<T> v, Op op) {
     }
     const int partner = r | mask;
     if (partner < p) {
-      auto other = recv<T>(partner, kTagReduce);
-      if (other.size() != v.size())
+      // Combine with the partner's values where they arrived.
+      const Payload other = recv_payload<T>(partner, kTagReduce);
+      check_multiple<T>(other);
+      if (other.size() != v.size() * sizeof(T))
         throw std::runtime_error("allreduce: mismatched vector lengths");
-      for (std::size_t i = 0; i < v.size(); ++i) v[i] = op(v[i], other[i]);
+      const std::byte* in = other.data();
+      for (std::size_t i = 0; i < v.size(); ++i, in += sizeof(T)) {
+        T x{};
+        std::memcpy(&x, in, sizeof(T));
+        v[i] = op(v[i], x);
+      }
     }
   }
   return bcast(std::move(v), 0);

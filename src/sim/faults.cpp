@@ -47,23 +47,25 @@ FaultModel::FaultModel(FaultConfig cfg, int nranks)
   for (const int r : cfg_.straggler_ranks)
     if (r < 0 || r >= nranks)
       throw std::invalid_argument("FaultModel: straggler rank out of range");
-  for (const auto& cp : cfg_.crash_schedule) {
-    if (cp.rank < 0 || cp.rank >= nranks)
-      throw std::invalid_argument("FaultModel: crash rank out of range");
-    if (cp.vtime < 0.0)
-      throw std::invalid_argument("FaultModel: crash vtime must be >= 0");
-  }
-  if (cfg_.crash_lease_seconds < 0.0)
-    throw std::invalid_argument("FaultModel: crash lease must be >= 0");
   // Probabilities are compared with uniform draws in [0, 1). Jitter and the
   // factors stretch arrivals and charges: a negative one would move a clock
   // backwards, which the engine's lower-bound commit rule (jitter >= 0,
-  // monotone clocks) assumes never happens. NaN fails every test.
+  // monotone clocks) assumes never happens. NaN fails every test; a NaN
+  // crash time would never fire.
   const auto require = [](bool ok, const char* field, const char* range) {
     if (!ok)
       throw std::invalid_argument(std::string("FaultModel: ") + field +
                                   " must be " + range);
   };
+  const auto nonneg = [&](double v, const char* field) {
+    require(std::isfinite(v) && v >= 0.0, field, "finite and >= 0");
+  };
+  for (const auto& cp : cfg_.crash_schedule) {
+    if (cp.rank < 0 || cp.rank >= nranks)
+      throw std::invalid_argument("FaultModel: crash rank out of range");
+    nonneg(cp.vtime, "crash_schedule vtime");
+  }
+  nonneg(cfg_.crash_lease_seconds, "crash_lease_seconds");
   const auto prob = [&](double v, const char* field) {
     require(v >= 0.0 && v <= 1.0, field, "in [0, 1]");
   };
@@ -73,9 +75,6 @@ FaultModel::FaultModel(FaultConfig cfg, int nranks)
   prob(cfg_.duplicate_prob, "duplicate_prob");
   prob(cfg_.memory_fault_prob, "memory_fault_prob");
   prob(cfg_.crash_prob, "crash_prob");
-  const auto nonneg = [&](double v, const char* field) {
-    require(std::isfinite(v) && v >= 0.0, field, "finite and >= 0");
-  };
   nonneg(cfg_.latency_jitter_max_seconds, "latency_jitter_max_seconds");
   nonneg(cfg_.crash_vtime_max, "crash_vtime_max");
   const auto positive = [&](double v, const char* field) {

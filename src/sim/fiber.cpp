@@ -33,6 +33,14 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#if defined(__x86_64__)
+// fiber_switch.S
+extern "C" {
+void picpar_fiber_switch(void** save_sp, void* load_sp);
+void picpar_fiber_boot();
+}
+#endif
+
 namespace picpar::sim::detail {
 
 namespace {
@@ -69,7 +77,11 @@ Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg)
   }
   // Guard page at the low end: an overflow faults instead of running into
   // the neighbouring mapping.
-  if (mprotect(map_, page, PROT_NONE) != 0 || getcontext(&ctx_) != 0) {
+  bool ok = mprotect(map_, page, PROT_NONE) == 0;
+#if !defined(__x86_64__)
+  ok = ok && getcontext(&ctx_) == 0;
+#endif
+  if (!ok) {
     const int err = errno;
     munmap(map_, map_bytes_);
     map_ = nullptr;
@@ -79,15 +91,43 @@ Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg)
   char* bottom = static_cast<char*>(map_) + page;
   stack_bottom_ = bottom;
   stack_size_ = usable;
+#if defined(__x86_64__)
+  // The frame picpar_fiber_switch pops (see fiber_switch.S), seeded so that
+  // the first switch here returns into the boot stub with r12 = start,
+  // rbx = this and rbp = 0, on a 16-byte-aligned stack. The new context
+  // starts with this thread's floating-point control state, as a context
+  // that getcontext captured would.
+  struct BootFrame {
+    std::uint64_t fpcw = 0, mxcsr = 0;
+    void *r15 = nullptr, *r14 = nullptr, *r13 = nullptr;
+    void (*r12)(Fiber*) = nullptr;
+    Fiber* rbx = nullptr;
+    void* rbp = nullptr;
+    void (*ret)() = nullptr;
+  };
+  // 72 bytes below a page-aligned top: after the switch's ret the boot stub
+  // runs on a 16-byte-aligned stack.
+  static_assert(sizeof(BootFrame) == 72);
+  std::uint16_t fpcw = 0;
+  __asm__("fnstcw %0" : "=m"(fpcw));
+  auto* frame = reinterpret_cast<BootFrame*>(bottom + usable) - 1;
+  *frame = BootFrame{.fpcw = fpcw,
+                     .mxcsr = __builtin_ia32_stmxcsr(),
+                     .r12 = &Fiber::start,
+                     .rbx = this,
+                     .ret = &picpar_fiber_boot};
+  sp_ = frame;
+#else
   ctx_.uc_stack.ss_sp = bottom;
   ctx_.uc_stack.ss_size = usable;
   ctx_.uc_link = nullptr;
   // makecontext passes int-sized arguments only: split the pointer.
   const auto self =
       static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::start), 2,
+  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::start_split), 2,
               static_cast<unsigned>(self >> 32),
               static_cast<unsigned>(self & 0xffffffffU));
+#endif
 #ifdef PICPAR_FIBER_TSAN
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -106,13 +146,18 @@ Fiber::~Fiber() {
   munmap(map_, map_bytes_);
 }
 
-void Fiber::start(unsigned hi, unsigned lo) {
-  auto* self = reinterpret_cast<Fiber*>(static_cast<std::uintptr_t>(
-      (static_cast<std::uint64_t>(hi) << 32) | lo));
+void Fiber::start(Fiber* self) {
   self->finish_switch();
   self->entry_(self->arg_);
   std::abort();  // entry functions leave through exit_to, never by returning
 }
+
+#if !defined(__x86_64__)
+void Fiber::start_split(unsigned hi, unsigned lo) {
+  start(reinterpret_cast<Fiber*>(static_cast<std::uintptr_t>(
+      (static_cast<std::uint64_t>(hi) << 32) | lo)));
+}
+#endif
 
 void Fiber::prepare_switch(Fiber& from, Fiber& to, bool leaving) {
   // Park the running context's exception-handling globals and install the
@@ -150,16 +195,25 @@ void Fiber::finish_switch() {
 
 void Fiber::switch_to(Fiber& from, Fiber& to) {
   prepare_switch(from, to, false);
+#if defined(__x86_64__)
+  picpar_fiber_switch(&from.sp_, to.sp_);
+#else
   // swapcontext fails only on a malformed context, which this class never
   // builds; there is no state to unwind to if it did.
   if (swapcontext(&from.ctx_, &to.ctx_) != 0) std::abort();
+#endif
   from.finish_switch();
 }
 
 void Fiber::exit_to(Fiber& from, Fiber& to) {
   prepare_switch(from, to, true);
+#if defined(__x86_64__)
+  void* discarded = nullptr;  // nothing resumes a context that has left
+  picpar_fiber_switch(&discarded, to.sp_);
+#else
   setcontext(&to.ctx_);
-  std::abort();  // setcontext returns only on failure
+#endif
+  std::abort();  // the switch away from a finished context never returns
 }
 
 }  // namespace picpar::sim::detail

@@ -3,9 +3,14 @@
 // Every simulated rank runs on a stack of its own, on the thread of the
 // worker that owns its block of ranks (with one worker, the thread that
 // calls Machine::run). Handing execution from one rank of a block to the
-// next is a context switch on that thread (swapcontext), not a wakeup of
-// another OS thread through a mutex and a condition variable. A fiber
-// never migrates: it always resumes on the thread it first ran on.
+// next is a context switch on that thread, not a wakeup of another OS
+// thread through a mutex and a condition variable. A fiber never migrates:
+// it always resumes on the thread it first ran on.
+//
+// On x86-64 a switch saves and restores only the System V callee-saved
+// state (rbp, rbx, r12-r15, the MXCSR and the x87 control word) on the
+// fiber's own stack (fiber_switch.S); it leaves the signal mask alone,
+// which every fiber of a thread shares. Other ISAs use swapcontext.
 //
 // Besides the registers and the stack, a switch carries the state that the
 // C++ runtime and the sanitizers keep per thread:
@@ -19,9 +24,11 @@
 // Internal to picpar_sim; not part of the public API.
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstddef>
+
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
 
 namespace picpar::sim::detail {
 
@@ -64,11 +71,17 @@ private:
 #endif
   };
 
-  static void start(unsigned hi, unsigned lo);  // makecontext entry point
+  /// First code a new fiber runs: calls entry_(arg_), which never returns.
+  static void start(Fiber* self);
   static void prepare_switch(Fiber& from, Fiber& to, bool leaving);
   void finish_switch();
 
+#if defined(__x86_64__)
+  void* sp_ = nullptr;  // stack pointer saved when this context last left
+#else
+  static void start_split(unsigned hi, unsigned lo);  // makecontext entry
   ucontext_t ctx_{};
+#endif
   EhGlobals eh_{};
   void* map_ = nullptr;        // stack mapping including the guard page
   std::size_t map_bytes_ = 0;

@@ -1,11 +1,13 @@
 // Point-to-point message representation inside the simulated machine.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <typeinfo>
 #include <utility>
@@ -54,26 +56,46 @@ private:
 };
 
 /// The bytes of one message on the simulated wire: immutable and
-/// reference-counted. Copying a Payload shares the buffer — a duplicated
-/// delivery, or a broadcast forwarding what it received to its children —
-/// and the bytes are reachable only through const access, so no holder can
-/// change what another holder reads. A path that needs different bytes
-/// (the fault model's bit flip) copies them out first.
+/// reference-counted, in one heap block that holds the count, the size,
+/// the derived-value slot and the bytes. A sender writes the bytes in
+/// place once, when the payload is made; after that they are reachable
+/// only through const access, so no holder can change what another holder
+/// reads. Copying a Payload shares the block — a duplicated delivery, or a
+/// broadcast forwarding what it received to its children — and the count
+/// is atomic, because ranks on different workers share blocks. A path that
+/// needs different bytes (the fault model's bit flip) copies them out
+/// first.
 class Payload {
 public:
   Payload() = default;
-  /// Takes the bytes over; one allocation holds the reference count, the
-  /// byte vector's header and the derived-value slot.
-  explicit Payload(std::vector<std::byte> bytes)
-      : block_(std::make_shared<const Block>(std::move(bytes))) {}
-
-  std::size_t size() const { return block_ ? block_->bytes.size() : 0; }
-  const std::byte* data() const {
-    return block_ ? block_->bytes.data() : nullptr;
+  /// `size` bytes, written by fill(std::byte* out) before any other holder
+  /// exists.
+  template <typename F>
+  Payload(std::size_t size, F&& fill) : block_(Block::make(size)) {
+    try {
+      std::forward<F>(fill)(block_->bytes());
+    } catch (...) {
+      release();
+      throw;
+    }
   }
+  Payload(const Payload& other) noexcept : block_(other.block_) {
+    if (block_) block_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Payload(Payload&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  Payload& operator=(Payload other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~Payload() { release(); }
+
+  std::size_t size() const { return block_ ? block_->size : 0; }
+  /// The bytes; read values from them with std::memcpy.
+  const std::byte* data() const { return block_ ? block_->bytes() : nullptr; }
   /// A private, writable copy of the bytes.
   std::vector<std::byte> copy() const {
-    return block_ ? block_->bytes : std::vector<std::byte>{};
+    return std::vector<std::byte>(data(), data() + size());
   }
 
   /// A value computed from these bytes once per buffer (see OnceValue):
@@ -83,16 +105,37 @@ public:
   std::shared_ptr<const V> derive(F&& make) const {
     if (!block_) throw std::logic_error("Payload::derive: no buffer");
     const V& v = block_->derived.template get<V>(std::forward<F>(make));
-    return std::shared_ptr<const V>(block_, &v);
+    // The block owns v, so the pointer holds a reference to the block.
+    return std::shared_ptr<const V>(
+        &v, [hold = *this](const V*) mutable { hold = Payload(); });
   }
 
 private:
   struct Block {
-    explicit Block(std::vector<std::byte> b) : bytes(std::move(b)) {}
-    std::vector<std::byte> bytes;
+    std::atomic<std::size_t> refs{1};
+    const std::size_t size;
     OnceValue derived;
+
+    explicit Block(std::size_t n) : size(n) {}
+    /// The bytes follow the header in the same allocation.
+    std::byte* bytes() {
+      return reinterpret_cast<std::byte*>(this) + sizeof(Block);
+    }
+    static Block* make(std::size_t n) {
+      static_assert(alignof(Block) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+      return new (::operator new(sizeof(Block) + n)) Block(n);
+    }
   };
-  std::shared_ptr<const Block> block_;
+
+  void release() noexcept {
+    if (block_ && block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      block_->~Block();
+      ::operator delete(block_);
+    }
+    block_ = nullptr;
+  }
+
+  Block* block_ = nullptr;
 };
 
 struct Message {

@@ -12,6 +12,7 @@
 #include <system_error>
 #include <utility>
 
+#include "pic/config.hpp"
 #include "pic/result_io.hpp"
 #include "sim/faults.hpp"
 #include "trace/metrics.hpp"
@@ -210,6 +211,7 @@ std::size_t ResultCache::entries() const { return fingerprints().size(); }
 
 std::size_t ResultCache::trim(std::size_t max_entries) const {
   struct Entry {
+    bool live = false;
     fs::file_time_type mtime;
     std::string name;
   };
@@ -224,10 +226,29 @@ std::size_t ResultCache::trim(std::size_t max_entries) const {
     std::error_code mec;
     const auto mtime = fs::last_write_time(it->path(), mec);
     if (mec) continue;
-    all.push_back(Entry{mtime, name});
+    all.push_back(Entry{false, mtime, name});
   }
   if (all.size() <= max_entries) return 0;
+  // Dead entries go first, oldest first: one stored under another
+  // canonical version is never looked up again, and one that no longer
+  // loads would be recomputed anyway. Every canonical text of this build
+  // opens with the same version line.
+  const std::string canonical = pic::PicParams{}.canonical();
+  const std::string_view version(canonical.data(), canonical.find('\n') + 1);
+  for (Entry& e : all) {
+    std::string params, result;
+    if (!read_entry(e.name.substr(0, 16), params, result) ||
+        !params.starts_with(version))
+      continue;
+    try {
+      (void)pic::parse_result(result);
+    } catch (const std::runtime_error&) {
+      continue;  // no longer loads
+    }
+    e.live = true;
+  }
   std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
+    if (a.live != b.live) return b.live;
     if (a.mtime != b.mtime) return a.mtime < b.mtime;
     return a.name < b.name;
   });

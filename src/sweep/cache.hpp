@@ -64,8 +64,10 @@ public:
   /// Number of committed entries.
   std::size_t entries() const;
 
-  /// Evict oldest entries (mtime order, filename tie-break) until at most
-  /// `max_entries` remain. Returns the number evicted.
+  /// Evict entries until at most `max_entries` remain: first the dead ones
+  /// (stored under another canonical version, or no longer loadable), then
+  /// the live ones, each group oldest first (mtime order, filename
+  /// tie-break). Returns the number evicted.
   std::size_t trim(std::size_t max_entries) const;
 
   /// Fingerprints of all committed entries, sorted (diagnostics/tests).

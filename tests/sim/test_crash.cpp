@@ -283,9 +283,9 @@ TEST(Crash, ConfigValidation) {
   neg_lease.crash_lease_seconds = -1.0;
   EXPECT_THROW(FaultModel(neg_lease, 4), std::invalid_argument);
 
-  // Every probability lies in [0, 1]; jitter and the crash window are
-  // finite and >= 0; the slowdown factors are finite and > 0. The error
-  // names the field.
+  // Every probability lies in [0, 1]; jitter, the crash window and the
+  // lease are finite and >= 0; the slowdown factors are finite and > 0.
+  // The error names the field.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const struct {
@@ -304,6 +304,8 @@ TEST(Crash, ConfigValidation) {
       {"latency_jitter_max_seconds", &FaultConfig::latency_jitter_max_seconds,
        {-1e-4, inf, nan}},
       {"crash_vtime_max", &FaultConfig::crash_vtime_max, {-1.0, inf, nan}},
+      {"crash_lease_seconds", &FaultConfig::crash_lease_seconds,
+       {-1.0, inf, nan}},
       {"transient_slow_factor", &FaultConfig::transient_slow_factor,
        {0.0, -2.0, inf, nan}},
       {"straggler_factor", &FaultConfig::straggler_factor,
@@ -320,6 +322,20 @@ TEST(Crash, ConfigValidation) {
         EXPECT_NE(std::string(e.what()).find(r.name), std::string::npos)
             << e.what();
       }
+    }
+  }
+  // A scheduled crash at a NaN or infinite time would never fire.
+  for (const double v : {nan, inf}) {
+    FaultConfig cfg;
+    cfg.crash_schedule = {{1, v}};
+    try {
+      (void)FaultModel(cfg, 4);
+      ADD_FAILURE() << "crash_schedule vtime = " << v << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("crash_schedule vtime must be "
+                                           "finite and >= 0"),
+                std::string::npos)
+          << e.what();
     }
   }
   // The edges of each range are accepted.

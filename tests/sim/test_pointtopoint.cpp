@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "sim/comm.hpp"
 
@@ -36,6 +40,65 @@ TEST(PointToPoint, EmptyMessageDelivered) {
       EXPECT_TRUE(c.recv<int>(0, 1).empty());
     }
   });
+}
+
+TEST(Payload, FilledOnceAndShared) {
+  const double v[3] = {1.5, -2.5, 3.25};
+  int fills = 0;
+  const Payload p(sizeof v, [&](std::byte* out) {
+    ++fills;
+    std::memcpy(out, v, sizeof v);
+  });
+  const Payload copy = p;  // shares the block
+  EXPECT_EQ(fills, 1);
+  EXPECT_EQ(copy.data(), p.data());
+  ASSERT_EQ(copy.size(), sizeof v);
+  EXPECT_EQ(std::memcmp(copy.data(), v, sizeof v), 0);
+  EXPECT_EQ(p.copy().size(), sizeof v);
+  EXPECT_EQ(Payload().size(), 0u);
+}
+
+TEST(Payload, DerivedValueIsDestroyedOnceAfterItsLastHolder) {
+  // Copies of one payload are taken, derived from and dropped on several
+  // threads; the value is made once and destroyed once, when the last
+  // pointer to it goes, after every payload copy is gone.
+  struct Sum {
+    long value;
+    std::atomic<int>* destroyed;
+    ~Sum() { destroyed->fetch_add(1); }
+  };
+  std::atomic<int> made{0};
+  std::atomic<int> destroyed{0};
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const Sum>> kept(kThreads);
+  std::vector<std::thread> threads;
+  {
+    const Payload original(4 * sizeof(int), [](std::byte* out) {
+      const int v[4] = {1, 2, 3, 4};
+      std::memcpy(out, v, sizeof v);
+    });
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t, mine = original] {
+        for (int i = 0; i < 2000; ++i) {
+          const Payload held = mine;
+          auto sum = held.derive<Sum>([&] {
+            made.fetch_add(1);
+            int v[4] = {};
+            std::memcpy(v, held.data(), sizeof v);
+            return Sum{v[0] + v[1] + v[2] + v[3], &destroyed};
+          });
+          EXPECT_EQ(sum->value, 10);
+          kept[static_cast<std::size_t>(t)] = std::move(sum);
+        }
+      });
+  }  // the original goes while the threads still hold copies
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(made.load(), 1);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(destroyed.load(), 0);
+    kept[static_cast<std::size_t>(t)].reset();
+  }
+  EXPECT_EQ(destroyed.load(), 1);
 }
 
 TEST(PointToPoint, FifoOrderPerSenderAndTag) {

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cfenv>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -240,6 +241,46 @@ TEST(FiberSafety, ExceptionsStayWithTheirRankAcrossHandoffs) {
     EXPECT_EQ(uncaught[static_cast<std::size_t>(r)], 0);
   }
   EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+/// The rounding mode the SSE unit applies, found from a division: the
+/// MXCSR holds it, while fegetround reads the x87 control word. A switch
+/// must carry both with the rank.
+int sse_rounding() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double third = one / three;
+  const double minus_third = -one / three;
+  // To nearest, 1/3 rounds toward zero: 0x1.5555555555555p-2.
+  if (third > 0x1.5555555555555p-2) return FE_UPWARD;
+  if (minus_third < -0x1.5555555555555p-2) return FE_DOWNWARD;
+  return FE_TONEAREST;
+}
+
+TEST(FiberSafety, FloatingPointControlStaysWithItsRank) {
+  // Rank 0 parks in a receive with upward rounding; rank 1 must start with
+  // the default mode, and each rank's own mode must survive the handoffs.
+  const int caller_mode = std::fegetround();
+  Machine m(2, CostModel::cm5());
+  m.run([](Comm& c) {
+    const auto expect_mode = [](int mode, const char* where) {
+      EXPECT_EQ(std::fegetround(), mode) << where;
+      EXPECT_EQ(sse_rounding(), mode) << where;
+    };
+    if (c.rank() == 0) {
+      std::fesetround(FE_UPWARD);
+      (void)c.recv_value<int>(1, 0);
+      expect_mode(FE_UPWARD, "rank 0 after its receive");
+    } else {
+      expect_mode(FE_TONEAREST, "rank 1 at start");
+      std::fesetround(FE_DOWNWARD);
+      c.send_value(0, 0, 1);
+    }
+    c.barrier();
+    expect_mode(c.rank() == 0 ? FE_UPWARD : FE_DOWNWARD, "after the barrier");
+  });
+  EXPECT_EQ(std::fegetround(), caller_mode);
+  EXPECT_EQ(sse_rounding(), caller_mode);
 }
 
 TEST(FiberSafety, DeadlockUnwindsEveryParkedRank) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "pic/config.hpp"
 #include "pic/result_io.hpp"
 #include "sweep/cache.hpp"
 
@@ -170,6 +171,31 @@ TEST_F(CacheTest, TrimTieBreaksByName) {
     fs::last_write_time(entry_file(dir_, fp(i)), base);  // all equal
   EXPECT_EQ(cache.trim(2), 2u);
   EXPECT_EQ(cache.fingerprints(), (std::vector<std::string>{fp(2), fp(3)}));
+}
+
+TEST_F(CacheTest, TrimEvictsDeadEntriesBeforeLiveOnes) {
+  // A live entry, then two newer dead ones: an entry of an older canonical
+  // version and one whose seal no longer holds. Trimming to one keeps the
+  // live entry although it is the oldest.
+  ResultCache cache(dir_);
+  pic::PicParams params;
+  ASSERT_TRUE(cache.store(fp(0), params.canonical(), result_with_total(0.0)));
+  ASSERT_TRUE(cache.store(fp(1), "picpar-params=3\ngrid.nx=64\n",
+                          result_with_total(1.0)));
+  ASSERT_TRUE(cache.store(fp(2), params.canonical(), result_with_total(2.0)));
+  const std::string torn = entry_file(dir_, fp(2));
+  std::string bad = slurp(torn);
+  bad[bad.size() / 2] = bad[bad.size() / 2] == 'x' ? 'y' : 'x';
+  spew(torn, bad);
+  const auto base = fs::last_write_time(entry_file(dir_, fp(0)));
+  for (unsigned i = 0; i < 3; ++i)
+    fs::last_write_time(entry_file(dir_, fp(i)),
+                        base + std::chrono::seconds(i));
+
+  EXPECT_EQ(cache.trim(1), 2u);
+  EXPECT_EQ(cache.fingerprints(), (std::vector<std::string>{fp(0)}));
+  pic::PicResult out;
+  EXPECT_EQ(cache.load(fp(0), out), CacheLoad::kHit);
 }
 
 TEST_F(CacheTest, ConcurrentWritersNeverTearEntries) {
