@@ -30,69 +30,49 @@ double MaxwellSolver::max_dt(const GridDesc& g) {
   return 0.9 * std::min(g.dx(), g.dy()) / std::sqrt(2.0);
 }
 
-// 2-D (d/dz = 0) curls with central differences. Only owned entries of the
-// outputs are written; inputs must have fresh ghosts.
-void MaxwellSolver::curl_e(const FieldState& f, std::vector<double>& cx,
-                           std::vector<double>& cy,
-                           std::vector<double>& cz) const {
+// 2-D (d/dz = 0) curls with central differences, fused into the updates.
+// Each half step reads one field and writes the other, so updating in place
+// leaves every curl as it was before the step.
+void MaxwellSolver::half_step_b(FieldState& f, std::size_t b,
+                                std::size_t e) const {
   const auto& lg = *lg_;
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
-    const auto e = lg.east(l), w = lg.west(l), n = lg.north(l), s = lg.south(l);
-    const double dez_dy = (f.ez[n] - f.ez[s]) * inv2dy_;
-    const double dez_dx = (f.ez[e] - f.ez[w]) * inv2dx_;
-    const double dey_dx = (f.ey[e] - f.ey[w]) * inv2dx_;
-    const double dex_dy = (f.ex[n] - f.ex[s]) * inv2dy_;
-    cx[l] = dez_dy;
-    cy[l] = -dez_dx;
-    cz[l] = dey_dx - dex_dy;
+  for (std::size_t l = b; l < e; ++l) {
+    const auto E = lg.east(l), W = lg.west(l), N = lg.north(l),
+               S = lg.south(l);
+    const double cx = (f.ez[N] - f.ez[S]) * inv2dy_;
+    const double cy = -(f.ez[E] - f.ez[W]) * inv2dx_;
+    const double cz =
+        (f.ey[E] - f.ey[W]) * inv2dx_ - (f.ex[N] - f.ex[S]) * inv2dy_;
+    f.bx[l] -= 0.5 * dt_ * cx;
+    f.by[l] -= 0.5 * dt_ * cy;
+    f.bz[l] -= 0.5 * dt_ * cz;
   }
 }
 
-void MaxwellSolver::curl_b(const FieldState& f, std::vector<double>& cx,
-                           std::vector<double>& cy,
-                           std::vector<double>& cz) const {
+void MaxwellSolver::step_e(FieldState& f, std::size_t b,
+                           std::size_t e) const {
   const auto& lg = *lg_;
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
-    const auto e = lg.east(l), w = lg.west(l), n = lg.north(l), s = lg.south(l);
-    const double dbz_dy = (f.bz[n] - f.bz[s]) * inv2dy_;
-    const double dbz_dx = (f.bz[e] - f.bz[w]) * inv2dx_;
-    const double dby_dx = (f.by[e] - f.by[w]) * inv2dx_;
-    const double dbx_dy = (f.bx[n] - f.bx[s]) * inv2dy_;
-    cx[l] = dbz_dy;
-    cy[l] = -dbz_dx;
-    cz[l] = dby_dx - dbx_dy;
+  for (std::size_t l = b; l < e; ++l) {
+    const auto E = lg.east(l), W = lg.west(l), N = lg.north(l),
+               S = lg.south(l);
+    const double cx = (f.bz[N] - f.bz[S]) * inv2dy_;
+    const double cy = -(f.bz[E] - f.bz[W]) * inv2dx_;
+    const double cz =
+        (f.by[E] - f.by[W]) * inv2dx_ - (f.bx[N] - f.bx[S]) * inv2dy_;
+    f.ex[l] += dt_ * (cx - f.jx[l]);
+    f.ey[l] += dt_ * (cy - f.jy[l]);
+    f.ez[l] += dt_ * (cz - f.jz[l]);
   }
 }
 
 void MaxwellSolver::step(sim::Comm& comm, FieldState& f) const {
   const auto& lg = *lg_;
-  auto cx = lg.make_field();
-  auto cy = lg.make_field();
-  auto cz = lg.make_field();
-
   lg.halo_exchange(comm, {&f.ex, &f.ey, &f.ez});
-  curl_e(f, cx, cy, cz);
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
-    f.bx[l] -= 0.5 * dt_ * cx[l];
-    f.by[l] -= 0.5 * dt_ * cy[l];
-    f.bz[l] -= 0.5 * dt_ * cz[l];
-  }
-
+  half_step_b(f, 0, lg.owned());
   lg.halo_exchange(comm, {&f.bx, &f.by, &f.bz});
-  curl_b(f, cx, cy, cz);
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
-    f.ex[l] += dt_ * (cx[l] - f.jx[l]);
-    f.ey[l] += dt_ * (cy[l] - f.jy[l]);
-    f.ez[l] += dt_ * (cz[l] - f.jz[l]);
-  }
-
+  step_e(f, 0, lg.owned());
   lg.halo_exchange(comm, {&f.ex, &f.ey, &f.ez});
-  curl_e(f, cx, cy, cz);
-  for (std::size_t l = 0; l < lg.owned(); ++l) {
-    f.bx[l] -= 0.5 * dt_ * cx[l];
-    f.by[l] -= 0.5 * dt_ * cy[l];
-    f.bz[l] -= 0.5 * dt_ * cz[l];
-  }
+  half_step_b(f, 0, lg.owned());
 }
 
 }  // namespace picpar::mesh

@@ -19,9 +19,16 @@ class MaxwellSolver {
 public:
   MaxwellSolver(const LocalGrid& lg, double dt);
 
-  /// Advance fields one step; performs the halo exchanges it needs.
-  /// J (and rho) must already hold this step's sources on owned nodes.
+  /// Advance fields one step on the owned nodes; performs the halo
+  /// exchanges it needs. J (and rho) must already hold this step's sources
+  /// on owned nodes.
   void step(sim::Comm& comm, FieldState& f) const;
+
+  /// The half steps of step(), in place on local nodes [b, e): B -= dt/2
+  /// curl E, and E += dt (curl B - J). The curl reads each node's stencil
+  /// neighbors, whose values must be current.
+  void half_step_b(FieldState& f, std::size_t b, std::size_t e) const;
+  void step_e(FieldState& f, std::size_t b, std::size_t e) const;
 
   double dt() const { return dt_; }
 
@@ -29,11 +36,6 @@ public:
   static double max_dt(const GridDesc& g);
 
 private:
-  void curl_e(const FieldState& f, std::vector<double>& cx,
-              std::vector<double>& cy, std::vector<double>& cz) const;
-  void curl_b(const FieldState& f, std::vector<double>& cx,
-              std::vector<double>& cy, std::vector<double>& cz) const;
-
   const LocalGrid* lg_;
   double dt_;
   double inv2dx_;

@@ -18,12 +18,7 @@ namespace picpar::pic {
 /// Run the Eulerian grid-partitioning baseline. policy/partitioner fields
 /// of `params` are ignored (assignment follows the grid, always). Throws
 /// std::invalid_argument for a scenario with an injector or an absorbing
-/// wall.
+/// wall, for fault injection and for validation.
 PicResult run_eulerian(const PicParams& params);
-
-/// Per-rank particle counts after Eulerian assignment of the initial
-/// population: the load imbalance of the grid partitioning without running
-/// a simulation (the Baselines tests check it).
-std::vector<std::size_t> eulerian_particle_counts(const PicParams& params);
 
 }  // namespace picpar::pic

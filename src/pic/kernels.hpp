@@ -1,7 +1,8 @@
 // The per-particle kernels of one PIC iteration (DESIGN.md §18): deposit
 // of current and charge, field gather plus Boris kick, and the position
-// push. run_pic calls each once per rank and iteration; the Section 3
-// baselines (eulerian.cpp, replicated.cpp) call deposit and gather_kick.
+// push. The iteration loop (stepper.hpp) calls deposit and gather_kick
+// once per rank and iteration for all three drivers; run_pic's mover calls
+// push, and the Section 3 baselines move positions with advance_position.
 //
 // Every kernel walks its particles in blocks of at most 32. Per block,
 // branch-free passes over flat arrays do the square roots and divides that

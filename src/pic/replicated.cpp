@@ -1,56 +1,19 @@
 #include "pic/replicated.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "mesh/maxwell.hpp"
 #include "particles/pusher.hpp"
-#include "pic/baseline.hpp"
-#include "pic/kernels.hpp"
+#include "pic/stepper.hpp"
 
 namespace picpar::pic {
 
-using mesh::FieldState;
 using mesh::LocalGrid;
 using particles::ParticleArray;
 using sim::Comm;
-using sim::Phase;
 
 namespace {
-
-/// Colocated-curl updates over the full replicated fields, computing only
-/// node ids in [b, e). `lg` is the one-rank grid, so a local index is a
-/// global node id.
-void half_b(const LocalGrid& lg, FieldState& f, std::uint64_t b,
-            std::uint64_t e, double dt) {
-  const double i2dx = 0.5 / lg.grid().dx();
-  const double i2dy = 0.5 / lg.grid().dy();
-  for (std::uint64_t id = b; id < e; ++id) {
-    const auto E = lg.east(id), W = lg.west(id), N = lg.north(id),
-               S = lg.south(id);
-    const double cx = (f.ez[N] - f.ez[S]) * i2dy;
-    const double cy = -(f.ez[E] - f.ez[W]) * i2dx;
-    const double cz = (f.ey[E] - f.ey[W]) * i2dx - (f.ex[N] - f.ex[S]) * i2dy;
-    f.bx[id] -= 0.5 * dt * cx;
-    f.by[id] -= 0.5 * dt * cy;
-    f.bz[id] -= 0.5 * dt * cz;
-  }
-}
-
-void step_e(const LocalGrid& lg, FieldState& f, std::uint64_t b,
-            std::uint64_t e, double dt) {
-  const double i2dx = 0.5 / lg.grid().dx();
-  const double i2dy = 0.5 / lg.grid().dy();
-  for (std::uint64_t id = b; id < e; ++id) {
-    const auto E = lg.east(id), W = lg.west(id), N = lg.north(id),
-               S = lg.south(id);
-    const double cx = (f.bz[N] - f.bz[S]) * i2dy;
-    const double cy = -(f.bz[E] - f.bz[W]) * i2dx;
-    const double cz = (f.by[E] - f.by[W]) * i2dx - (f.bx[N] - f.bx[S]) * i2dy;
-    f.ex[id] += dt * (cx - f.jx[id]);
-    f.ey[id] += dt * (cy - f.jy[id]);
-    f.ez[id] += dt * (cz - f.jz[id]);
-  }
-}
 
 /// Element-wise global sum of several full arrays (binomial allreduce).
 void global_sum(Comm& comm, std::vector<std::vector<double>*> arrays) {
@@ -93,84 +56,99 @@ void global_concat(Comm& comm, std::uint64_t b, std::uint64_t e,
   }
 }
 
+/// Lubeck & Faber's mesh: every rank holds all of it, as the one-rank
+/// whole-mesh grid that the ranks share read-only (owned nodes in gid
+/// order, no ghosts, so the kernels never touch the ghost exchange). The
+/// Scatter phase sums the sources over all ranks; the field solve updates
+/// one contiguous chunk of nodes per rank and concatenates the chunks to
+/// everyone; the gather reads the local copy.
+class ReplicatedLayout final : public MeshLayout {
+public:
+  ReplicatedLayout(const RunSetup& run, std::shared_ptr<const LocalGrid> whole,
+                   const mesh::MaxwellSolver& maxwell, const Comm& c)
+      : MeshLayout(std::move(whole), core::DedupPolicy::kHash),
+        params_(run.params),
+        maxwell_(maxwell),
+        rank_(c.rank()),
+        bounds_(static_cast<std::size_t>(c.size()) + 1) {
+    const std::uint64_t m = params_.grid.nodes();
+    const auto p = static_cast<std::uint64_t>(c.size());
+    for (std::uint64_t r = 0; r <= p; ++r) bounds_[r] = r * m / p;
+  }
+
+  void sum_sources(Comm& c) override {
+    global_sum(c, {&f.jx, &f.jy, &f.jz, &f.rho});
+  }
+
+  void solve(Comm& c) override {
+    if (params_.solver != FieldSolveKind::kMaxwell) return;
+    const std::uint64_t b = bounds_[static_cast<std::size_t>(rank_)];
+    const std::uint64_t e = bounds_[static_cast<std::size_t>(rank_) + 1];
+    maxwell_.half_step_b(f, b, e);
+    global_concat(c, b, e, bounds_, {&f.bx, &f.by, &f.bz});
+    maxwell_.step_e(f, b, e);
+    global_concat(c, b, e, bounds_, {&f.ex, &f.ey, &f.ez});
+    maxwell_.half_step_b(f, b, e);
+    global_concat(c, b, e, bounds_, {&f.bx, &f.by, &f.bz});
+    c.charge(static_cast<double>(e - b) * params_.costs.field_per_node *
+             params_.machine.delta);
+  }
+
+  void fetch(Comm&) override {}
+
+  // Every rank holds the same mesh: rank 0 counts it.
+  bool counted() const override { return rank_ == 0; }
+
+private:
+  const PicParams& params_;
+  const mesh::MaxwellSolver& maxwell_;
+  const int rank_;
+  std::vector<std::uint64_t> bounds_;  ///< field-solve chunk of rank r
+};
+
+/// Lubeck & Faber's particle movement: each rank keeps run_pic's initial
+/// slice for the whole run, so the particle load stays balanced and
+/// nothing is ever realigned.
+class FixedMover final : public ParticleMover {
+public:
+  explicit FixedMover(const RunSetup& run) : run_(run) {}
+
+  double place(Comm& c, ParticleArray& mine) override {
+    append_initial_slice(run_.global, c.rank(), c.size(), mine);
+    return c.clock();
+  }
+
+  void push(Comm& c, ParticleArray& mine, LocalIter&) override {
+    const std::size_t n = mine.size();
+    for (std::size_t i = 0; i < n; ++i)
+      particles::advance_position(run_.params.grid, mine, i, run_.dt);
+    c.charge(static_cast<double>(n) * run_.params.costs.push_per_particle *
+             run_.params.machine.delta);
+  }
+
+private:
+  const RunSetup& run_;
+};
+
 }  // namespace
 
 PicResult run_replicated(const PicParams& params) {
-  const scenario::Scenario& sc = baseline_scenario(params, "run_replicated");
-  const mesh::GridDesc grid = params.grid;
-  const ParticleArray global = sc.loadout(grid, params.init);
-  const double dt =
-      params.dt > 0.0 ? params.dt : mesh::MaxwellSolver::max_dt(grid);
-  const double delta = params.machine.delta;
-  const PhaseCosts& pc = params.costs;
-  const std::uint64_t m = grid.nodes();
-  const scenario::DriverSpec* driver =
-      sc.driver.enabled ? &sc.driver : nullptr;
-  // The whole mesh as one rank's subdomain: owned nodes in gid order, no
-  // ghosts. Read-only, so every rank shares it.
-  const mesh::GridPartition whole = mesh::GridPartition::block(grid, 1, 1);
-  const LocalGrid lg(whole, 0);
-
-  return run_baseline(params, [&](Comm& comm, BaselineRank& out) {
-    const int rank = comm.rank();
-    const int p = comm.size();
-
-    FieldState f(lg);
-    scenario::apply_field_seed(sc.field_seed, grid, lg, f);
-    // Every stencil vertex is owned, so the kernels only resolve owned
-    // nodes through it and keep their destination record in it.
-    core::GhostExchange no_ghosts(lg, core::DedupPolicy::kHash);
-    // Field-solve chunk boundaries (contiguous node-id ranges).
-    std::vector<std::uint64_t> bounds(static_cast<std::size_t>(p) + 1);
-    for (int r = 0; r <= p; ++r)
-      bounds[static_cast<std::size_t>(r)] =
-          static_cast<std::uint64_t>(r) * m / static_cast<std::uint64_t>(p);
-    const std::uint64_t cb = bounds[static_cast<std::size_t>(rank)];
-    const std::uint64_t ce = bounds[static_cast<std::size_t>(rank) + 1];
-
-    // Lagrangian assignment: run_pic's initial slice, fixed forever.
-    ParticleArray mine(global.species());
-    append_initial_slice(global, rank, p, mine);
-
-    for (int iter = 0; iter < params.iterations; ++iter) {
-      // ---- Scatter: local deposition + global element-wise sum ----
-      comm.set_phase(Phase::kScatter);
-      f.clear_sources();
-      const std::size_t n = mine.size();
-      deposit(grid, mine, f, no_ghosts);
-      comm.charge(static_cast<double>(4 * n) * pc.scatter_per_vertex * delta);
-      global_sum(comm, {&f.jx, &f.jy, &f.jz, &f.rho});
-
-      // ---- Field solve: chunk update + global concatenation ----
-      comm.set_phase(Phase::kFieldSolve);
-      if (params.solver == FieldSolveKind::kMaxwell) {
-        half_b(lg, f, cb, ce, dt);
-        global_concat(comm, cb, ce, bounds, {&f.bx, &f.by, &f.bz});
-        step_e(lg, f, cb, ce, dt);
-        global_concat(comm, cb, ce, bounds, {&f.ex, &f.ey, &f.ez});
-        half_b(lg, f, cb, ce, dt);
-        global_concat(comm, cb, ce, bounds, {&f.bx, &f.by, &f.bz});
-        comm.charge(static_cast<double>(ce - cb) * pc.field_per_node * delta);
-      }
-
-      // ---- Gather + push: purely local ----
-      comm.set_phase(Phase::kGather);
-      gather_kick(grid, dt, driver, static_cast<double>(iter) * dt, mine, f,
-                  no_ghosts);
-      comm.charge(static_cast<double>(4 * n) * pc.gather_per_vertex * delta);
-
-      comm.set_phase(Phase::kPush);
-      for (std::size_t i = 0; i < n; ++i)
-        particles::advance_position(grid, mine, i, dt);
-      comm.charge(static_cast<double>(n) * pc.push_per_particle * delta);
-      comm.set_phase(Phase::kOther);
-      out.clock_end.push_back(comm.clock());
-    }
-
-    // Replicated fields: count the field energy on rank 0 only.
-    if (rank == 0) out.field_energy = f.energy(lg);
-    out.kinetic_energy = mine.kinetic_energy();
-  });
+  if (params.solver == FieldSolveKind::kPoisson)
+    throw std::invalid_argument(
+        "run_replicated: solver: the replicated grid has no Poisson solve");
+  const RunSetup run = baseline_setup(params, "run_replicated");
+  const mesh::GridPartition whole_mesh =
+      mesh::GridPartition::block(params.grid, 1, 1);
+  const auto whole = std::make_shared<const LocalGrid>(whole_mesh, 0);
+  const mesh::MaxwellSolver maxwell(*whole, run.dt);
+  Driver driver;
+  driver.layout = [&](Comm& c) {
+    return std::make_unique<ReplicatedLayout>(run, whole, maxwell, c);
+  };
+  driver.mover = [&](Comm&, RankOutput&) {
+    return std::make_unique<FixedMover>(run);
+  };
+  return run_stepper(run, driver);
 }
 
 }  // namespace picpar::pic

@@ -14,12 +14,11 @@
 
 namespace picpar::pic {
 
-/// Run the replicated-grid baseline. Uses grid, nranks, scenario, init,
-/// solver (kMaxwell/kNone), iterations, dt, costs and machine from
-/// `params`; partitioning/policy fields are ignored (particles stay on
-/// their initial rank forever, grid is replicated). Throws
-/// std::invalid_argument for a scenario with an injector or an absorbing
-/// wall.
+/// Run the replicated-grid baseline. Partitioning/policy fields of
+/// `params` are ignored (particles stay on their initial rank forever,
+/// grid is replicated). Throws std::invalid_argument for the Poisson
+/// solver, for a scenario with an injector or an absorbing wall, for fault
+/// injection and for validation.
 PicResult run_replicated(const PicParams& params);
 
 }  // namespace picpar::pic

@@ -1,8 +1,11 @@
 #include "sweep/sweep.hpp"
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "pic/simulation.hpp"
@@ -10,6 +13,7 @@
 #include "sweep/cache.hpp"
 #include "sweep/pool.hpp"
 #include "trace/metrics.hpp"
+#include "trace/tracer.hpp"
 #include "util/table.hpp"
 
 namespace picpar::sweep {
@@ -22,6 +26,24 @@ const char* source_name(Source s) {
   }
   return "?";
 }
+
+namespace {
+
+/// The metrics file of a job: the sink its params or PICPAR_TRACE_METRICS
+/// name, with the fingerprint before the extension ("" when none is named).
+std::string metrics_file(const pic::PicParams& params,
+                         const std::string& fingerprint) {
+  std::string sink = params.trace.metrics_path;
+  if (sink.empty())
+    if (const char* p = trace::trace_metrics_env_path()) sink = p;
+  if (sink.empty()) return sink;
+  const std::filesystem::path path(sink);
+  return (path.parent_path() / (path.stem().string() + "." + fingerprint +
+                                path.extension().string()))
+      .string();
+}
+
+}  // namespace
 
 SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
   SweepReport report;
@@ -36,6 +58,7 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
     std::string fingerprint;
     std::string canonical;
     std::size_t first_job = 0;
+    std::string metrics_file;
     Source source = Source::kSimulated;
     bool corrupt_replaced = false;
     pic::PicResult result;
@@ -52,6 +75,7 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
       u.fingerprint = out.fingerprint;
       u.canonical = jobs[j].params.canonical();
       u.first_job = j;
+      u.metrics_file = metrics_file(jobs[j].params, u.fingerprint);
       unique.push_back(std::move(u));
     }
   }
@@ -82,8 +106,21 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
   report.stats.simulated = misses.size();
   run_indexed(opt.jobs, misses.size(), [&](std::size_t m) {
     Unique& u = unique[misses[m]];
-    u.result = pic::run_pic(jobs[u.first_job].params);
+    // Paths are outside the fingerprint: naming the job's own metrics file
+    // keeps concurrent runs off one shared sink.
+    pic::PicParams params = jobs[u.first_job].params;
+    if (!u.metrics_file.empty()) params.trace.metrics_path = u.metrics_file;
+    u.result = pic::run_pic(params);
   });
+
+  // Every unique job's metrics file, from its result: a cache hit writes
+  // the bytes its cold run did.
+  for (const Unique& u : unique) {
+    if (u.metrics_file.empty()) continue;
+    std::ofstream f(u.metrics_file, std::ios::binary | std::ios::trunc);
+    if (!f) throw std::runtime_error("sweep: cannot open " + u.metrics_file);
+    f << u.result.metrics_json;
+  }
 
   // Persist fresh results serially in submission order: deterministic
   // entry mtimes keep trim()'s eviction order reproducible.

@@ -2,9 +2,14 @@
 // qualitative properties Table 1 attributes to them.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "mesh/maxwell.hpp"
 #include "pic/eulerian.hpp"
 #include "pic/replicated.hpp"
 #include "pic/simulation.hpp"
+#include "sim/faults.hpp"
 #include "util/stats.hpp"
 
 namespace picpar::pic {
@@ -71,16 +76,19 @@ TEST(Replicated, ComputeStaysBalanced) {
   EXPECT_LT(imbalance(compute).factor(), 1.2);
 }
 
+/// The Eulerian assignment of the initial population, without iterating.
+PicResult eulerian_placement(const char* scenario) {
+  auto p = params(scenario, 8);
+  p.iterations = 0;
+  return run_eulerian(p);
+}
+
 TEST(Eulerian, UniformDistributionIsRoughlyBalanced) {
-  const auto counts =
-      eulerian_particle_counts(params("uniform", 8));
-  EXPECT_LT(imbalance_counts(counts).factor(), 1.4);
+  EXPECT_LT(eulerian_placement("uniform").final_imbalance, 1.4);
 }
 
 TEST(Eulerian, IrregularDistributionIsSeverelyImbalanced) {
-  const auto counts =
-      eulerian_particle_counts(params("irregular_beam", 8));
-  EXPECT_GT(imbalance_counts(counts).factor(), 2.0)
+  EXPECT_GT(eulerian_placement("irregular_beam").final_imbalance, 2.0)
       << "center-concentrated blob must overload the central ranks";
 }
 
@@ -115,6 +123,18 @@ TEST(Eulerian, ParticleCountConservedUnderMigration) {
               1e-5 * main.kinetic_energy);
 }
 
+TEST(Eulerian, PoissonSolveRuns) {
+  // The electrostatic solve feeds the gather: without it the fields stay
+  // at their seed and the run ends with another field energy.
+  auto p = params("irregular_beam", 4);
+  p.solver = FieldSolveKind::kNone;
+  const auto none = run_eulerian(p);
+  p.solver = FieldSolveKind::kPoisson;
+  const auto poisson = run_eulerian(p);
+  EXPECT_NE(poisson.field_energy, none.field_energy);
+  EXPECT_GT(poisson.field_energy, 0.0);
+}
+
 TEST(Eulerian, PhysicsMatchesMainSimulation) {
   for (const char* scenario : kBaselineScenarios) {
     SCOPED_TRACE(scenario);
@@ -144,6 +164,92 @@ TEST(Baselines, RejectScenariosThatInjectOrAbsorb) {
   const auto p = params("beam_into_plasma", 4);
   EXPECT_THROW(run_replicated(p), std::invalid_argument);
   EXPECT_THROW(run_eulerian(p), std::invalid_argument);
+}
+
+TEST(Baselines, RefuseWhatTheyCannotRun) {
+  // The replicated grid has no Poisson solve.
+  auto p = params("uniform", 4);
+  p.solver = FieldSolveKind::kPoisson;
+  EXPECT_THROW(run_replicated(p), std::invalid_argument);
+  // Neither baseline injects faults or validates.
+  p = params("uniform", 4);
+  p.faults.corrupt_prob = 0.01;
+  EXPECT_THROW(run_replicated(p), std::invalid_argument);
+  EXPECT_THROW(run_eulerian(p), std::invalid_argument);
+  p = params("uniform", 4);
+  p.validate.check_every = 1;
+  EXPECT_THROW(run_replicated(p), std::invalid_argument);
+  EXPECT_THROW(run_eulerian(p), std::invalid_argument);
+  // A step past the CFL limit is unstable, as it is for run_pic.
+  p = params("uniform", 4);
+  p.dt = 1.01 * mesh::MaxwellSolver::max_dt(p.grid);
+  EXPECT_THROW(run_replicated(p), std::invalid_argument);
+  EXPECT_THROW(run_eulerian(p), std::invalid_argument);
+  EXPECT_THROW(run_pic(p), std::invalid_argument);
+}
+
+/// FNV-1a of a baseline run's modeled times and energies, each double
+/// printed with %a: the makespan and compute time, every rank's clock and
+/// per-phase counters, every iteration's times, and both energies.
+std::uint64_t pin_hash(const PicResult& r) {
+  std::string text;
+  char buf[64];
+  const auto put = [&](double v) {
+    std::snprintf(buf, sizeof buf, "%a\n", v);
+    text += buf;
+  };
+  const auto put_count = [&](std::uint64_t v) {
+    text += std::to_string(v);
+    text += '\n';
+  };
+  put(r.total_seconds);
+  put(r.compute_seconds);
+  for (const auto& rank : r.machine.ranks) {
+    put(rank.clock);
+    for (int ph = 0; ph < sim::kNumPhases; ++ph) {
+      const auto& c = rank.stats.phase(static_cast<sim::Phase>(ph));
+      put_count(c.msgs_sent);
+      put_count(c.bytes_sent);
+      put_count(c.msgs_recv);
+      put_count(c.bytes_recv);
+      put(c.comm_seconds);
+      put(c.compute_seconds);
+    }
+  }
+  for (const auto& it : r.iters) {
+    put(it.exec_seconds);
+    put(it.loop_seconds);
+  }
+  put(r.field_energy);
+  put(r.kinetic_energy);
+  return sim::fnv1a(reinterpret_cast<const std::byte*>(text.data()),
+                    text.size());
+}
+
+TEST(Baselines, OutputsArePinned) {
+  // Every modeled bit of both baselines, on each accepted scenario at
+  // p = 4 and on the irregular beam at p = 8. A change that moves one of
+  // these hashes changed what a baseline computes or charges.
+  struct Case {
+    const char* scenario;
+    int nranks;
+    std::uint64_t eulerian;
+    std::uint64_t replicated;
+  };
+  const Case cases[] = {
+      {"uniform", 4, 0x485b61a6ef6ce22full, 0xe9266057dd350d47ull},
+      {"irregular_beam", 4, 0x1402fcd5ef2489dbull, 0x7ef3be874807ce1full},
+      {"two_stream", 4, 0xc7d12e19f08a5c26ull, 0xb8b5d5cdd7bfccb5ull},
+      {"weibel", 4, 0x7ded2802ff43789dull, 0xcbeeac05d12f883cull},
+      {"moving_hotspot", 4, 0x8c49c97b3e3a8179ull, 0x99f51dbc6360e960ull},
+      {"irregular_beam", 8, 0x5e34007e35e2033aull, 0x285456a3fddfc028ull},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.scenario) + " p=" + std::to_string(c.nranks));
+    const auto p = params(c.scenario, c.nranks);
+    EXPECT_EQ(pin_hash(run_eulerian(p)), c.eulerian);
+    EXPECT_EQ(pin_hash(run_replicated(p)), c.replicated);
+  }
 }
 
 }  // namespace

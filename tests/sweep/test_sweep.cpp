@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <utility>
@@ -215,6 +216,46 @@ TEST_F(SweepTest, ArtifactShapes) {
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"label\": \"only\""), std::string::npos);
   EXPECT_EQ(json.back(), '\n');
+}
+
+TEST_F(SweepTest, TracedSweepWritesOneMetricsFilePerJob) {
+  // PICPAR_TRACE_METRICS names one sink; every unique job writes its own
+  // file beside it, named by fingerprint, from a run and from the cache.
+  fs::create_directories(dir_);
+  const fs::path sink = fs::path(dir_) / "sweep.metrics.json";
+  ASSERT_EQ(::setenv("PICPAR_TRACE_METRICS", sink.c_str(), 1), 0);
+  const std::vector<Job> jobs = {{"seed1", tiny_params(1)},
+                                 {"seed2", tiny_params(2)}};
+  SweepOptions opt;
+  opt.cache_dir = (fs::path(dir_) / "cache").string();
+  const auto read = [](const fs::path& f) {
+    std::ifstream in(f, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  const auto cold = run_sweep(jobs, opt);
+  ASSERT_EQ(cold.stats.simulated, 2u);
+  std::vector<fs::path> files;
+  std::vector<std::string> bytes;
+  for (const auto& o : cold.outcomes) {
+    files.push_back(fs::path(dir_) /
+                    ("sweep.metrics." + o.fingerprint + ".json"));
+    ASSERT_TRUE(fs::exists(files.back())) << files.back();
+    bytes.push_back(read(files.back()));
+    EXPECT_FALSE(bytes.back().empty());
+    EXPECT_EQ(bytes.back(), o.result.metrics_json);
+    fs::remove(files.back());
+  }
+  EXPECT_NE(files[0], files[1]);
+  EXPECT_FALSE(fs::exists(sink));
+
+  const auto warm = run_sweep(jobs, opt);
+  ASSERT_EQ(warm.stats.hits, 2u);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    ASSERT_TRUE(fs::exists(files[i])) << files[i];
+    EXPECT_EQ(read(files[i]), bytes[i]);
+  }
+  EXPECT_FALSE(fs::exists(sink));
 }
 
 TEST_F(SweepTest, EmptyJobListIsANoop) {
