@@ -1,9 +1,10 @@
 // Happens-before analyzer fixtures: seeded races, tag-space violations,
 // phase misattribution, floating-point reduction-order sensitivity, the
-// OrderInsensitive annotation, clean collectives, and the two-run
-// determinism audit.
+// OrderInsensitive annotation, clean collectives, the two-run
+// determinism audit, and pinned hashes of the analyzer's outputs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "analysis/analyzer.hpp"
 #include "analysis/audit.hpp"
 #include "sim/comm.hpp"
+#include "sim/faults.hpp"
 
 namespace picpar::analysis {
 namespace {
@@ -162,22 +164,24 @@ TEST(Analyzer, FlagsWildcardReceiveThatCanStealCollectiveTraffic) {
   EXPECT_GE(a.count(FindingKind::kTagViolation), 1u) << a.report();
 }
 
+/// Sender charges the message to scatter; the receiver books it under
+/// gather — the per-phase traffic tables disagree.
+void misattributing_program(Comm& c) {
+  if (c.rank() == 0) {
+    c.set_phase(Phase::kScatter);
+    c.send_value<int>(1, 4, 1);
+  }
+  if (c.rank() == 1) {
+    c.set_phase(Phase::kGather);
+    (void)c.recv<int>(0, 4);
+  }
+}
+
 TEST(Analyzer, FlagsPhaseMisattribution) {
-  // Sender charges the message to scatter; the receiver books it under
-  // gather — the per-phase traffic tables disagree.
   Machine m(2, CostModel::zero());
   Analyzer a;
   m.set_observer(&a);
-  m.run([](Comm& c) {
-    if (c.rank() == 0) {
-      c.set_phase(Phase::kScatter);
-      c.send_value<int>(1, 4, 1);
-    }
-    if (c.rank() == 1) {
-      c.set_phase(Phase::kGather);
-      (void)c.recv<int>(0, 4);
-    }
-  });
+  m.run(misattributing_program);
   EXPECT_EQ(a.count(FindingKind::kPhaseMismatch), 1u);
   const auto& f = a.findings().at(0);
   EXPECT_EQ(f.phase, Phase::kGather);
@@ -247,6 +251,32 @@ TEST(Analyzer, FindingsAreDeduplicatedAndCapped) {
   a.clear_findings();
   EXPECT_EQ(a.total(), 0u);
   EXPECT_TRUE(a.findings().empty());
+}
+
+// The report prints every finding's vector clocks, so these hashes pin the
+// clocks themselves along with the counts and the happens-before
+// fingerprint. Machine-level runs read no environment variable.
+TEST(Observers, OutputsArePinned) {
+  const auto pinned_text = [](int nranks, void (*program)(Comm&)) {
+    Machine m(nranks, CostModel::zero());
+    Analyzer a;
+    m.set_observer(&a);
+    m.run(program);
+    return a.report() + std::to_string(a.total()) + '\n' +
+           std::to_string(a.fingerprint()) + '\n';
+  };
+  const std::pair<std::string, std::uint64_t> cases[] = {
+      {pinned_text(3, racy_program), 0x9a23f2c8fb273f36ULL},
+      {pinned_text(2, misattributing_program), 0xae32725d6e426901ULL},
+  };
+  for (const auto& [text, want] : cases) {
+    const std::uint64_t got = sim::fnv1a(
+        reinterpret_cast<const std::byte*>(text.data()), text.size());
+    char hex[20];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(got));
+    EXPECT_EQ(got, want) << text << "hashes to 0x" << hex;
+  }
 }
 
 TEST(Audit, DeterministicProgramPasses) {
