@@ -90,8 +90,6 @@ struct TraceParams {
   std::string path;
   /// Metrics JSON output path ("" = keep in PicResult only).
   std::string metrics_path;
-  /// Record message send->recv flow events (and per-phase traffic metrics).
-  bool flows = true;
 
   bool on() const { return enabled || !path.empty() || !metrics_path.empty(); }
 };

@@ -36,7 +36,8 @@ namespace {
 /// v4: seven keys of settings that changed no result or took one value
 /// are gone (the reorder fault, two cost knobs of the sort, two of
 /// validation, the analyzer's finding cap and trace wall-clock export).
-constexpr int kCanonicalVersion = 4;
+/// v5: trace.flows is gone: every traced run records its message flows.
+constexpr int kCanonicalVersion = 5;
 
 void kv(std::string& out, const char* key, const std::string& v) {
   out += key;
@@ -185,7 +186,6 @@ std::string PicParams::canonical() const {
   const bool trace_on = trace.on() || trace::trace_env_path() != nullptr ||
                         trace::trace_metrics_env_path() != nullptr;
   kv(out, "trace.enabled", trace_on);
-  kv(out, "trace.flows", trace.flows);
 
   kv(out, "sample_energy_every", sample_energy_every);
   return out;

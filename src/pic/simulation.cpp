@@ -452,9 +452,7 @@ PicResult run_stepper(const RunSetup& run, const Driver& driver) {
   if (tp.metrics_path.empty())
     if (const char* p = trace::trace_metrics_env_path()) tp.metrics_path = p;
   const bool trace_on = tp.on();
-  trace::Tracer::Options topt;
-  topt.flows = tp.flows;
-  trace::Tracer tracer(topt);
+  trace::Tracer tracer;
 
   sim::ObserverChain observers;
   if (analyze_on) observers.add(&analyzer);
@@ -614,15 +612,12 @@ PicResult run_stepper(const RunSetup& run, const Driver& driver) {
     result.metrics_json = tracer.metrics().snapshot().to_json();
     result.timeline_csv = tracer.timeline().to_csv();
     if (!tp.path.empty() || !tp.metrics_path.empty()) {
-      trace::ChromeTraceOptions copt;
-      copt.flows = tp.flows;
       // Concurrent run_pic calls (e.g. a bench's --jobs pool) may target
       // the same file; serialize so each write is whole.
       static std::mutex g_trace_write_mutex;
       std::lock_guard<std::mutex> lk(g_trace_write_mutex);
       if (!tp.path.empty())
-        trace::write_chrome_trace(tp.path, tracer.data(), copt,
-                                  &tracer.timeline());
+        trace::write_chrome_trace(tp.path, tracer.data(), &tracer.timeline());
       if (!tp.metrics_path.empty()) {
         std::ofstream f(tp.metrics_path, std::ios::binary | std::ios::trunc);
         if (!f)

@@ -37,7 +37,6 @@ bool global_scope(const std::string& name) {
 }  // namespace
 
 std::string to_chrome_json(const TraceData& data,
-                           const ChromeTraceOptions& opt,
                            const RedistTimeline* timeline) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
@@ -74,35 +73,33 @@ std::string to_chrome_json(const TraceData& data,
     out += '}';
   }
 
-  if (opt.flows) {
-    for (const Flow& f : data.flows) {
-      // Flow ids are strings so they never collide with JSON number
-      // precision; (src, dst, seq) is unique per run.
-      next();
-      append_common(out, "msg", "flow", "s", f.src, f.t_send * 1e6);
-      out += ",\"id\":\"f";
-      append_i64(out, f.src);
-      out += '.';
-      append_i64(out, f.dst);
-      out += '.';
-      append_num(out, f.seq);
-      out += "\",\"args\":{\"tag\":";
-      append_i64(out, f.tag);
-      out += ",\"bytes\":";
-      append_num(out, static_cast<std::uint64_t>(f.bytes));
-      out += ",\"collective\":";
-      out += f.collective ? "true" : "false";
-      out += "}}";
-      next();
-      append_common(out, "msg", "flow", "f", f.dst, f.t_recv * 1e6);
-      out += ",\"bp\":\"e\",\"id\":\"f";
-      append_i64(out, f.src);
-      out += '.';
-      append_i64(out, f.dst);
-      out += '.';
-      append_num(out, f.seq);
-      out += "\"}";
-    }
+  for (const Flow& f : data.flows) {
+    // Flow ids are strings so they never collide with JSON number
+    // precision; (src, dst, seq) is unique per run.
+    next();
+    append_common(out, "msg", "flow", "s", f.src, f.t_send * 1e6);
+    out += ",\"id\":\"f";
+    append_i64(out, f.src);
+    out += '.';
+    append_i64(out, f.dst);
+    out += '.';
+    append_num(out, f.seq);
+    out += "\",\"args\":{\"tag\":";
+    append_i64(out, f.tag);
+    out += ",\"bytes\":";
+    append_num(out, static_cast<std::uint64_t>(f.bytes));
+    out += ",\"collective\":";
+    out += f.collective ? "true" : "false";
+    out += "}}";
+    next();
+    append_common(out, "msg", "flow", "f", f.dst, f.t_recv * 1e6);
+    out += ",\"bp\":\"e\",\"id\":\"f";
+    append_i64(out, f.src);
+    out += '.';
+    append_i64(out, f.dst);
+    out += '.';
+    append_num(out, f.seq);
+    out += "\"}";
   }
 
   for (const Mark& m : data.marks) {
@@ -144,11 +141,10 @@ std::string to_chrome_json(const TraceData& data,
 }
 
 void write_chrome_trace(const std::string& path, const TraceData& data,
-                        const ChromeTraceOptions& opt,
                         const RedistTimeline* timeline) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) throw std::runtime_error("trace: cannot open " + path);
-  const std::string json = to_chrome_json(data, opt, timeline);
+  const std::string json = to_chrome_json(data, timeline);
   f.write(json.data(), static_cast<std::streamsize>(json.size()));
   if (!f) throw std::runtime_error("trace: write failed for " + path);
 }

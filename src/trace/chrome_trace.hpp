@@ -21,21 +21,14 @@
 
 namespace picpar::trace {
 
-struct ChromeTraceOptions {
-  /// Emit send->recv flow events.
-  bool flows = true;
-};
-
 /// Render the trace as a Chrome-trace JSON string. `timeline` (optional)
 /// supplies the counter tracks; without it none are written.
 std::string to_chrome_json(const TraceData& data,
-                           const ChromeTraceOptions& opt = {},
                            const RedistTimeline* timeline = nullptr);
 
 /// Write to_chrome_json output to `path`; throws std::runtime_error when
 /// the file cannot be written.
 void write_chrome_trace(const std::string& path, const TraceData& data,
-                        const ChromeTraceOptions& opt = {},
                         const RedistTimeline* timeline = nullptr);
 
 }  // namespace picpar::trace

@@ -29,7 +29,6 @@ void Tracer::on_run_start(int nranks) {
 void Tracer::on_send(sim::Message& m, const sim::SendEvent& e) {
   RankBuf& b = bufs_[static_cast<std::size_t>(e.src)];
   b.events += 1;
-  if (!opt_.flows) return;
   if (b.sends.size() >= opt_.max_sends_per_rank) {
     b.dropped_sends += 1;
     return;
@@ -52,7 +51,6 @@ void Tracer::on_recv(const sim::Message& m, const sim::RecvEvent& e,
   (void)mailbox;
   RankBuf& b = bufs_[static_cast<std::size_t>(e.rank)];
   b.events += 1;
-  if (!opt_.flows) return;
   if (b.recvs.size() >= opt_.max_recvs_per_rank) {
     b.dropped_recvs += 1;
     return;
@@ -146,7 +144,6 @@ void Tracer::on_run_end(
 }
 
 void Tracer::build_flows() {
-  if (!opt_.flows) return;
   // A link's sends are recorded in seq order (per-link seqs are dense and
   // a rank's drops are a suffix of its stream), so index == seq. Links are
   // sparse in the destinations a sender actually touched — a neighbor-local
@@ -224,20 +221,18 @@ void Tracer::build_metrics() {
                          ".span_us",
                      static_cast<std::uint64_t>(std::llround(us)));
   }
-  if (opt_.flows) {
-    for (int r = 0; r < nranks_; ++r) {
-      for (const SendRec& rec : bufs_[static_cast<std::size_t>(r)].sends) {
-        const std::string p = sim::phase_name(rec.phase);
-        metrics_.add("phase." + p + ".msgs_sent");
-        metrics_.add("phase." + p + ".bytes_sent", rec.bytes);
-        metrics_.observe("msg.bytes", rec.bytes);
-      }
+  for (int r = 0; r < nranks_; ++r) {
+    for (const SendRec& rec : bufs_[static_cast<std::size_t>(r)].sends) {
+      const std::string p = sim::phase_name(rec.phase);
+      metrics_.add("phase." + p + ".msgs_sent");
+      metrics_.add("phase." + p + ".bytes_sent", rec.bytes);
+      metrics_.observe("msg.bytes", rec.bytes);
     }
-    for (const Flow& f : data_.flows) {
-      const std::string p = sim::phase_name(f.recv_phase);
-      metrics_.add("phase." + p + ".msgs_recv");
-      metrics_.add("phase." + p + ".bytes_recv", f.bytes);
-    }
+  }
+  for (const Flow& f : data_.flows) {
+    const std::string p = sim::phase_name(f.recv_phase);
+    metrics_.add("phase." + p + ".msgs_recv");
+    metrics_.add("phase." + p + ".bytes_recv", f.bytes);
   }
   // Fail-stop recovery accounting. Every key below is folded only when the
   // corresponding marks exist, so a crash-free run's metrics snapshot is

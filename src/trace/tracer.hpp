@@ -147,10 +147,6 @@ struct RedistTimeline {
 class Tracer final : public sim::MachineObserver {
 public:
   struct Options {
-    /// Record send/recv events and reconstruct message flows. Off: only
-    /// spans and marks are traced (and per-phase traffic counters vanish
-    /// from the metrics).
-    bool flows = true;
     /// Per-rank caps; once hit, later records are counted as dropped, not
     /// stored. Drops are a suffix of each rank's stream, so flow matching
     /// on the recorded prefix stays exact.

@@ -171,8 +171,6 @@ TEST_F(Fingerprint, EverySemanticFieldChangesTheFingerprint) {
           {"analyze.audit_determinism",
            [](PicParams& p) { p.analyze.audit_determinism = true; }},
           {"trace.enabled", [](PicParams& p) { p.trace.enabled = true; }},
-          {"trace.flows",
-           [](PicParams& p) { p.trace.flows = !p.trace.flows; }},
           {"sample_energy_every",
            [](PicParams& p) { p.sample_energy_every = 5; }},
       };

@@ -149,26 +149,6 @@ TEST(Tracer, TransportRetriesAppearAsMarks) {
   EXPECT_EQ(retry_marks, total.retries);
 }
 
-TEST(Tracer, FlowsOffStillTracesSpansAndMarks) {
-  Machine m(2, CostModel::cm5());
-  Tracer::Options opt;
-  opt.flows = false;
-  Tracer tracer(opt);
-  m.set_observer(&tracer);
-  m.run([](Comm& c) {
-    c.set_phase(Phase::kGather);
-    if (c.rank() == 0) {
-      c.send_value(1, 1, 1);
-      c.mark("test.mark");
-    } else {
-      (void)c.recv<int>(0);
-    }
-  });
-  EXPECT_TRUE(tracer.data().flows.empty());
-  EXPECT_EQ(tracer.data().spans.size(), 4u);  // head + tail per rank
-  ASSERT_EQ(tracer.data().marks.size(), 1u);
-}
-
 TEST(Tracer, ChainsWithAnalyzerThroughObserverChain) {
   Machine m(2, CostModel::cm5());
   analysis::Analyzer analyzer;
@@ -242,8 +222,8 @@ TEST(TracerModeEquivalence, ExportsAreByteIdentical) {
 
   const auto seq = run_traced(false);
   const auto par = run_traced(true);
-  EXPECT_EQ(to_chrome_json(seq->data(), {}, &seq->timeline()),
-            to_chrome_json(par->data(), {}, &par->timeline()));
+  EXPECT_EQ(to_chrome_json(seq->data(), &seq->timeline()),
+            to_chrome_json(par->data(), &par->timeline()));
   EXPECT_EQ(seq->metrics().snapshot().to_json(),
             par->metrics().snapshot().to_json());
   EXPECT_EQ(seq->timeline().to_csv(), par->timeline().to_csv());
