@@ -265,7 +265,7 @@ TEST_F(Fingerprint, GoldenValueIsProcessIndependent) {
   // If the change is intentional, bump kCanonicalVersion in fingerprint.cpp
   // and re-pin.
   const auto p = base_params();
-  EXPECT_EQ(p.fingerprint(), "8c594f1970a16d3f");
+  EXPECT_EQ(p.fingerprint(), "66dc53c0f29d709c");
 }
 
 }  // namespace
