@@ -1,14 +1,21 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
+
+#include "analysis/vector_clock.hpp"
 
 namespace picpar::analysis {
 
 using sim::kAnySource;
 using sim::kAnyTag;
-using sim::Message;
-using sim::Phase;
+using trace::RecordEvent;
+using trace::RunRecord;
+using Kind = RecordEvent::Kind;
 
 namespace {
 
@@ -17,6 +24,331 @@ constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 bool matches(int want_src, int want_tag, int src, int tag) {
   return (want_src == kAnySource || src == want_src) &&
          (want_tag == kAnyTag || tag == want_tag);
+}
+
+void mix(std::uint64_t& h, std::uint64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (value >> (8 * b)) & 0xffULL;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// Two 32-bit fields as one fingerprint word.
+std::uint64_t word(int hi, int lo) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi)) << 32) |
+         static_cast<std::uint32_t>(lo);
+}
+
+/// A remembered wildcard receive awaiting the deferred (run-end) checks.
+struct PendingRecv {
+  std::size_t index = 0;        ///< its event's position in the rank's events
+  bool race_check = false;      ///< eligible for race / reduction-order
+  bool reserved_check = false;  ///< wildcard-tag pending-reserved check
+  VectorClock matched;          ///< the matched message's send clock
+  VectorClock completion;       ///< receiver clock at completion
+};
+
+/// One rank's side of a pass, in the rank's program order.
+struct RankPass {
+  VectorClock clock;
+  std::size_t next = 0;  ///< first event not yet processed
+  std::uint64_t fp = kFnvOffset;
+  /// A remembered receive has been processed: later receives keep their
+  /// send clocks for the deferred checks.
+  bool gate_open = false;
+  std::vector<Finding> online;  ///< rank-local detections, program order
+  std::vector<PendingRecv> recvs;
+  /// (src, seq) of the messages left in the final mailbox, sorted: a
+  /// received message that shares one (a duplicated delivery's original)
+  /// keeps its send clock for the deferred checks.
+  std::vector<std::pair<int, std::uint64_t>> leftover_keys;
+};
+
+/// One run's happens-before pass over a record: the vector clocks, from
+/// program order plus the matched (src, dst, seq) edges, and the findings
+/// detected against them.
+class Pass {
+public:
+  Pass(const RunRecord& record, std::size_t recv_history);
+
+  /// `rank`'s findings in merge order: its online detections in program
+  /// order, then its deferred ones.
+  std::vector<Finding> findings(int rank) const;
+  std::uint64_t fingerprint() const;
+  std::uint64_t events() const { return events_; }
+  /// Bytes of clocks, remembered receives and online findings the pass
+  /// held at its peak.
+  std::size_t peak_bytes() const;
+
+private:
+  /// A send event: (src, index in events(src)).
+  using SendId = std::pair<int, std::size_t>;
+  static constexpr SendId kNoSend{-1, 0};
+
+  /// Process `rank`'s events until a receive waits for a send not yet
+  /// processed; queue the ranks its sends release.
+  void advance(int rank, std::deque<int>& ready);
+  void on_send(int rank, const RecordEvent& e);
+  void on_recv(int rank, const RecordEvent& e, const SendId& sid);
+
+  const RunRecord& rec_;
+  std::size_t recv_history_;
+  std::vector<RankPass> ranks_;
+  std::vector<SendId> waits_;  ///< per rank: the send it waits for
+  /// Send clocks from the send until the receive that merges them, and
+  /// afterwards while the deferred checks need them.
+  std::map<SendId, VectorClock> held_;
+  std::size_t peak_held_ = 0;
+  std::uint64_t events_ = 0;
+};
+
+Pass::Pass(const RunRecord& record, std::size_t recv_history)
+    : rec_(record), recv_history_(recv_history) {
+  const int p = record.nranks();
+  ranks_.resize(static_cast<std::size_t>(p));
+  waits_.assign(static_cast<std::size_t>(p), kNoSend);
+  for (int r = 0; r < p; ++r) {
+    RankPass& rp = ranks_[static_cast<std::size_t>(r)];
+    rp.clock = VectorClock(p);
+    for (const trace::Leftover& l : record.leftovers(r))
+      rp.leftover_keys.emplace_back(l.src, l.seq);
+    std::sort(rp.leftover_keys.begin(), rp.leftover_keys.end());
+  }
+  // Each rank runs until a receive waits for a send not yet processed, and
+  // resumes once that send is. The record holds a real execution, so the
+  // pass ends only when every rank is done.
+  std::deque<int> ready;
+  for (int r = 0; r < p; ++r) ready.push_back(r);
+  while (!ready.empty()) {
+    const int r = ready.front();
+    ready.pop_front();
+    advance(r, ready);
+  }
+  for (int r = 0; r < p; ++r)
+    if (ranks_[static_cast<std::size_t>(r)].next < record.events(r).size())
+      throw std::logic_error("Analyzer: rank " + std::to_string(r) +
+                             " waits for a send the record never reaches");
+}
+
+void Pass::advance(int rank, std::deque<int>& ready) {
+  RankPass& rp = ranks_[static_cast<std::size_t>(rank)];
+  const auto& events = rec_.events(rank);
+  for (; rp.next < events.size(); ++rp.next) {
+    const RecordEvent& e = events[rp.next];
+    if (e.kind == Kind::kSend) {
+      on_send(rank, e);
+      SendId& w = waits_[static_cast<std::size_t>(e.send.dst)];
+      if (w == SendId{rank, rp.next}) {
+        ready.push_back(e.send.dst);
+        w = kNoSend;
+      }
+    } else if (e.kind == Kind::kRecv) {
+      const SendId sid{e.recv.src,
+                       rec_.send_index(e.recv.src, rank, e.recv.seq)};
+      if (sid.second == RunRecord::kNoEvent)
+        throw std::logic_error("Analyzer: rank " + std::to_string(rank) +
+                               " received a message the record never sent");
+      if (ranks_[static_cast<std::size_t>(sid.first)].next <= sid.second) {
+        waits_[static_cast<std::size_t>(rank)] = sid;
+        return;
+      }
+      on_recv(rank, e, sid);
+    }
+  }
+}
+
+void Pass::on_send(int rank, const RecordEvent& e) {
+  RankPass& rp = ranks_[static_cast<std::size_t>(rank)];
+  rp.clock.tick(rank);
+  ++events_;
+  mix(rp.fp, 0xA11CE5EDULL);
+  mix(rp.fp, word(e.send.dst, e.send.tag));
+  mix(rp.fp, e.send.bytes);
+  mix(rp.fp, static_cast<std::uint64_t>(static_cast<int>(e.phase)));
+  mix(rp.fp, rp.clock.hash());
+  held_.emplace(SendId{rank, rp.next}, rp.clock);
+  peak_held_ = std::max(peak_held_, held_.size());
+
+  // Tag-space violation: user traffic on a reserved negative tag.
+  if (!e.send.collective && e.send.tag < 0) {
+    std::ostringstream os;
+    os << "user send " << rank << " -> " << e.send.dst
+       << " uses reserved tag " << e.send.tag << " (phase "
+       << sim::phase_name(e.phase)
+       << "); it can match collective-internal receives";
+    rp.online.push_back(Finding{
+        .kind = FindingKind::kTagViolation, .rank = rank, .src = rank,
+        .tag = e.send.tag, .phase = e.phase, .vtime = e.vtime,
+        .clocks = rp.clock.str(), .detail = os.str()});
+  }
+}
+
+void Pass::on_recv(int rank, const RecordEvent& e, const SendId& sid) {
+  RankPass& rp = ranks_[static_cast<std::size_t>(rank)];
+  const auto sent = held_.find(sid);
+  rp.clock.merge(sent->second);
+  rp.clock.tick(rank);
+  const auto& m = e.recv;
+  ++events_;
+  mix(rp.fp, 0x5ECE15EDULL);
+  mix(rp.fp, word(m.src, m.tag));
+  mix(rp.fp, m.bytes);
+  mix(rp.fp, static_cast<std::uint64_t>(static_cast<int>(e.phase)));
+  mix(rp.fp, rp.clock.hash());
+
+  // Phase attribution: sender charged this traffic to one phase, the
+  // receiver is accounting it under another.
+  const sim::Phase sent_phase = rec_.events(sid.first)[sid.second].phase;
+  if (sent_phase != e.phase) {
+    std::ostringstream os;
+    os << "message " << m.src << " -> " << rank << " tag " << m.tag
+       << " sent in phase " << sim::phase_name(sent_phase)
+       << " but received in phase " << sim::phase_name(e.phase)
+       << "; per-phase traffic books disagree";
+    rp.online.push_back(Finding{
+        .kind = FindingKind::kPhaseMismatch, .rank = rank, .src = m.src,
+        .tag = m.tag, .phase = e.phase, .other_phase = sent_phase,
+        .vtime = e.vtime, .clocks = rp.clock.str(), .detail = os.str()});
+  }
+
+  // Tag space on the receive side, user code only.
+  const bool user_code = !m.collective;
+  if (user_code && m.tag < 0) {
+    std::ostringstream os;
+    os << "user receive on rank " << rank << " (want src=" << m.want_src
+       << ", tag=" << m.want_tag << ") matched reserved-tag " << m.tag
+       << " traffic from " << m.src << " — collective message stolen";
+    rp.online.push_back(Finding{
+        .kind = FindingKind::kTagViolation, .rank = rank, .src = m.src,
+        .tag = m.tag, .phase = e.phase, .vtime = e.vtime,
+        .clocks = rp.clock.str(), .detail = os.str()});
+  }
+
+  // Receives consumed after the first remembered one are candidates for
+  // its deferred checks, and so are the leftovers: both keep their send
+  // clocks. Every other send clock is dropped once merged.
+  const bool keep =
+      rp.gate_open || std::binary_search(rp.leftover_keys.begin(),
+                                         rp.leftover_keys.end(),
+                                         std::make_pair(m.src, m.seq));
+
+  // Remember receives that need the deferred checks.
+  const bool wildcard = m.want_src == kAnySource || m.want_tag == kAnyTag;
+  const bool race_check = wildcard && user_code && !m.order_insensitive;
+  const bool reserved_check =
+      user_code && m.want_tag == kAnyTag && m.tag >= 0;
+  if ((race_check || reserved_check) && rp.recvs.size() < recv_history_) {
+    rp.gate_open = true;
+    rp.recvs.push_back(PendingRecv{rp.next, race_check, reserved_check,
+                                   sent->second, rp.clock});
+  }
+  if (!keep) held_.erase(sent);
+}
+
+std::vector<Finding> Pass::findings(int rank) const {
+  const RankPass& rp = ranks_[static_cast<std::size_t>(rank)];
+  std::vector<Finding> out = rp.online;
+  const auto& events = rec_.events(rank);
+  for (const PendingRecv& w : rp.recvs) {
+    const RecordEvent& at = events[w.index];
+    const auto& r = at.recv;
+    const char* const fp_note =
+        r.fp_payload ? " — floating-point operand order is not "
+                       "happens-before-fixed"
+                     : "";
+    const FindingKind race_kind = r.fp_payload ? FindingKind::kReductionOrder
+                                               : FindingKind::kMessageRace;
+    bool reserved_done = !w.reserved_check;
+    // Candidates, in deterministic order: messages consumed after this
+    // receive, then the leftovers in matching order.
+    const auto consider = [&](int src, int tag, int epoch,
+                              std::uint64_t seq) {
+      // Traffic from a different membership epoch can never have raced with
+      // this receive: the machine purges pre-agreement messages at the
+      // epoch boundary and crashed senders stop sending, so cross-epoch
+      // pairs are ordered by the membership barrier itself. Without this
+      // filter a shrink-to-survivors recovery would report false races
+      // between a rank's pre-crash traffic and post-recovery receives.
+      if (epoch != r.epoch) return;
+      const bool race = w.race_check &&
+                        matches(r.want_src, r.want_tag, src, tag) &&
+                        !(src == r.src && tag == r.tag);
+      const bool reserved = !reserved_done && tag < 0 &&
+                            (r.want_src == kAnySource || src == r.want_src);
+      if (!race && !reserved) return;
+      const VectorClock& b =
+          held_.at(SendId{src, rec_.send_index(src, rank, seq)});
+      if (race && w.matched.concurrent(b)) {
+        std::ostringstream os;
+        os << "wildcard receive on rank " << rank << " (want src="
+           << r.want_src << ", tag=" << r.want_tag << ") matched src="
+           << r.src << " tag=" << r.tag << " while concurrent src=" << src
+           << " tag=" << tag << " was pending; either order is possible"
+           << fp_note;
+        out.push_back(Finding{
+            .kind = race_kind, .rank = rank, .src = r.src, .other_src = src,
+            .tag = r.tag, .phase = at.phase, .vtime = at.vtime,
+            .clocks = "matched " + w.matched.str() + " vs pending " + b.str(),
+            .detail = os.str()});
+      } else if (race && w.completion.concurrent(b)) {
+        // The send is concurrent with the *completion* of the receive
+        // (it may have happened after the match, wall-clock-wise): the
+        // match could still have gone either way.
+        std::ostringstream os;
+        os << "send " << src << " -> " << rank << " tag " << tag
+           << " is concurrent with a completed wildcard receive (want src="
+           << r.want_src << ", tag=" << r.want_tag << ") that matched src="
+           << r.src << " tag=" << r.tag
+           << "; either message could have matched first" << fp_note;
+        out.push_back(Finding{
+            .kind = race_kind, .rank = rank, .src = r.src, .other_src = src,
+            .tag = tag, .phase = at.phase, .vtime = at.vtime,
+            .clocks = "recv " + w.completion.str() + " vs send " + b.str(),
+            .detail = os.str()});
+      }
+      // Causally-later reserved traffic (e.g. a collective the receiver
+      // itself entered afterwards) cannot have been pending at the
+      // receive; only unordered reserved traffic is stealable.
+      if (reserved && !w.completion.happens_before(b)) {
+        reserved_done = true;
+        std::ostringstream os;
+        os << "wildcard-tag user receive on rank " << rank
+           << " posted while reserved-tag " << tag << " traffic from "
+           << src << " is pending — it can steal collective traffic";
+        out.push_back(Finding{
+            .kind = FindingKind::kTagViolation, .rank = rank, .src = src,
+            .tag = tag, .phase = at.phase, .vtime = at.vtime,
+            .clocks = w.completion.str(), .detail = os.str()});
+      }
+    };
+
+    for (std::size_t i = w.index + 1; i < events.size(); ++i)
+      if (events[i].kind == Kind::kRecv) {
+        const auto& c = events[i].recv;
+        consider(c.src, c.tag, c.epoch, c.seq);
+      }
+    for (const trace::Leftover& l : rec_.leftovers(rank))
+      consider(l.src, l.tag, l.epoch, l.seq);
+  }
+  return out;
+}
+
+std::uint64_t Pass::fingerprint() const {
+  std::uint64_t h = kFnvOffset;
+  for (const RankPass& rp : ranks_) mix(h, rp.fp);
+  return h;
+}
+
+std::size_t Pass::peak_bytes() const {
+  const std::size_t clock =
+      static_cast<std::size_t>(rec_.nranks()) * sizeof(std::uint64_t);
+  std::size_t bytes = (ranks_.size() + peak_held_) * clock;
+  for (const RankPass& rp : ranks_) {
+    bytes += rp.recvs.size() * (sizeof(PendingRecv) + 2 * clock);
+    for (const Finding& f : rp.online)
+      bytes += sizeof(Finding) + f.clocks.capacity() + f.detail.capacity();
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -31,34 +363,24 @@ const char* finding_kind_name(FindingKind k) {
   return "?";
 }
 
-void Analyzer::on_run_start(int nranks) {
-  nranks_ = nranks;
-  clocks_.assign(static_cast<std::size_t>(nranks), VectorClock(nranks));
-  rank_.assign(static_cast<std::size_t>(nranks), RankBuffer{});
-  for (auto& rb : rank_) rb.fp = kFnvOffset;
-  events_ = 0;
-  any_consume_overflow_ = false;
-  // Findings survive on purpose: a Machine may run several programs and the
-  // caller reads accumulated findings at the end (clear_findings() resets).
-}
-
-void Analyzer::mix(int rank, std::uint64_t value) {
-  auto& h = rank_[static_cast<std::size_t>(rank)].fp;
-  for (int b = 0; b < 8; ++b) {
-    h ^= (value >> (8 * b)) & 0xffULL;
-    h *= 0x100000001b3ULL;
-  }
-}
-
-std::uint64_t Analyzer::fingerprint() const {
-  std::uint64_t h = kFnvOffset;
-  for (const auto& rb : rank_) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (rb.fp >> (8 * b)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
+void Analyzer::analyze(const RunRecord& record) {
+  if (!record.complete())
+    throw std::logic_error("Analyzer: the record holds no completed run");
+  if (const int r = record.first_truncated_rank(); r >= 0)
+    throw std::runtime_error(
+        "Analyzer: rank " + std::to_string(r) +
+        " fired more events than the record's budget of " +
+        std::to_string(record.budget()) +
+        " per rank; the happens-before order needs every event");
+  const Pass pass(record, opt_.recv_history);
+  // Merge in rank order so findings, counts, and the report are
+  // deterministic — and identical at every worker count. Findings survive
+  // from earlier runs on purpose (clear_findings() resets them).
+  for (int r = 0; r < record.nranks(); ++r)
+    for (Finding& f : pass.findings(r)) add_finding(std::move(f));
+  fingerprint_ = pass.fingerprint();
+  events_ = pass.events();
+  pass_bytes_ = pass.peak_bytes();
 }
 
 std::uint64_t Analyzer::total() const {
@@ -84,286 +406,6 @@ void Analyzer::add_finding(Finding f) {
   findings_.push_back(std::move(f));
 }
 
-void Analyzer::on_send(Message& m, const sim::SendEvent& e) {
-  // Runs on the sender's worker with no lock held (build_send runs outside
-  // the engine mutex): only rank e.src state may be touched here.
-  // Cross-rank checks are deferred to on_run_end.
-  auto& clk = clocks_[static_cast<std::size_t>(e.src)];
-  clk.tick(e.src);
-  m.vclock = clk.components();
-
-  auto& buf = rank_[static_cast<std::size_t>(e.src)];
-  ++buf.events;
-  mix(e.src, 0xA11CE5EDULL);
-  mix(e.src, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.dst))
-              << 32) |
-                 static_cast<std::uint32_t>(e.tag));
-  mix(e.src, static_cast<std::uint64_t>(e.bytes));
-  mix(e.src, static_cast<std::uint64_t>(static_cast<int>(e.phase)));
-  mix(e.src, clk.hash());
-
-  // Tag-space violation: user traffic on a reserved negative tag.
-  if (e.collective_depth == 0 && e.tag < 0) {
-    Finding f;
-    f.kind = FindingKind::kTagViolation;
-    f.rank = e.src;
-    f.src = e.src;
-    f.tag = e.tag;
-    f.phase = e.phase;
-    f.vtime = e.vtime;
-    f.clocks = clk.str();
-    std::ostringstream os;
-    os << "user send " << e.src << " -> " << e.dst << " uses reserved tag "
-       << e.tag << " (phase " << sim::phase_name(e.phase)
-       << "); it can match collective-internal receives";
-    f.detail = os.str();
-    buf.online.push_back(std::move(f));
-  }
-}
-
-void Analyzer::on_recv(const Message& m, const sim::RecvEvent& e,
-                       const std::deque<Message>& mailbox) {
-  // The mailbox snapshot is wall-clock-schedule-dependent with several
-  // workers (sends from running ranks enqueue at arbitrary real times), so
-  // no finding may be derived from it; race candidates come
-  // from the consume log + final mailboxes at on_run_end instead.
-  (void)mailbox;
-  auto& clk = clocks_[static_cast<std::size_t>(e.rank)];
-  if (!m.vclock.empty()) clk.merge(m.vclock);
-  clk.tick(e.rank);
-
-  auto& buf = rank_[static_cast<std::size_t>(e.rank)];
-  ++buf.events;
-  mix(e.rank, 0x5ECE15EDULL);
-  mix(e.rank, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(m.src))
-               << 32) |
-                  static_cast<std::uint32_t>(m.tag));
-  mix(e.rank, static_cast<std::uint64_t>(m.bytes()));
-  mix(e.rank, static_cast<std::uint64_t>(static_cast<int>(e.phase)));
-  mix(e.rank, clk.hash());
-
-  // Phase attribution: sender charged this traffic to one phase, the
-  // receiver is accounting it under another.
-  if (m.sent_phase != e.phase) {
-    Finding f;
-    f.kind = FindingKind::kPhaseMismatch;
-    f.rank = e.rank;
-    f.src = m.src;
-    f.tag = m.tag;
-    f.phase = e.phase;
-    f.other_phase = m.sent_phase;
-    f.vtime = e.vtime;
-    f.clocks = clk.str();
-    std::ostringstream os;
-    os << "message " << m.src << " -> " << e.rank << " tag " << m.tag
-       << " sent in phase " << sim::phase_name(m.sent_phase)
-       << " but received in phase " << sim::phase_name(e.phase)
-       << "; per-phase traffic books disagree";
-    f.detail = os.str();
-    buf.online.push_back(std::move(f));
-  }
-
-  const bool user_code = e.collective_depth == 0;
-
-  // Tag space on the receive side, user code only.
-  if (user_code && m.tag < 0) {
-    Finding f;
-    f.kind = FindingKind::kTagViolation;
-    f.rank = e.rank;
-    f.src = m.src;
-    f.tag = m.tag;
-    f.phase = e.phase;
-    f.vtime = e.vtime;
-    f.clocks = clk.str();
-    std::ostringstream os;
-    os << "user receive on rank " << e.rank << " (want src=" << e.want_src
-       << ", tag=" << e.want_tag << ") matched reserved-tag " << m.tag
-       << " traffic from " << m.src << " — collective message stolen";
-    f.detail = os.str();
-    buf.online.push_back(std::move(f));
-  }
-
-  // Consume log: every delivery after the first remembered receive is a
-  // potential deferred-check candidate for the receives before it.
-  const std::uint64_t idx = buf.consume_count++;
-  if (buf.gate_open) {
-    if (buf.consumed.size() < opt_.consume_log)
-      buf.consumed.push_back(Consumed{idx, m.src, m.tag, m.epoch, m.vclock});
-    else
-      buf.consume_overflow = true;
-  }
-
-  // Remember receives that need the deferred checks. The gate opens at the
-  // first one: earlier deliveries can never be candidates (candidates are
-  // consumed strictly after the receive that races with them).
-  const bool wildcard = e.want_src == kAnySource || e.want_tag == kAnyTag;
-  const bool race_check = wildcard && user_code && !e.order_insensitive;
-  const bool reserved_check =
-      user_code && e.want_tag == kAnyTag && m.tag >= 0;
-  if ((race_check || reserved_check) &&
-      buf.recvs.size() < opt_.recv_history) {
-    buf.gate_open = true;
-    PendingRecv w;
-    w.consume_index = idx;
-    w.want_src = e.want_src;
-    w.want_tag = e.want_tag;
-    w.matched_src = m.src;
-    w.matched_tag = m.tag;
-    w.fp = e.fp_payload;
-    w.race_check = race_check;
-    w.reserved_check = reserved_check;
-    w.epoch = m.epoch;
-    w.phase = e.phase;
-    w.vtime = e.vtime;
-    w.matched_vc = m.vclock;
-    w.completion = clk;
-    buf.recvs.push_back(std::move(w));
-  }
-}
-
-void Analyzer::run_deferred_checks(int rank,
-                                   const std::deque<Message>& leftover) {
-  auto& buf = rank_[static_cast<std::size_t>(rank)];
-  if (buf.recvs.empty()) return;
-
-  // Never-consumed messages are candidates too. Their physical queue order
-  // is schedule-dependent, but the *set* is not: sort by the machine's
-  // deterministic matching key so the merge is mode-independent.
-  std::vector<const Message*> rest;
-  rest.reserve(leftover.size());
-  for (const auto& pm : leftover) rest.push_back(&pm);
-  std::sort(rest.begin(), rest.end(), [](const Message* a, const Message* b) {
-    if (a->arrival != b->arrival) return a->arrival < b->arrival;
-    if (a->src != b->src) return a->src < b->src;
-    if (a->seq != b->seq) return a->seq < b->seq;
-    return static_cast<int>(a->dup) < static_cast<int>(b->dup);
-  });
-
-  for (const auto& w : buf.recvs) {
-    bool reserved_done = !w.reserved_check;
-    const VectorClock matched(w.matched_vc);
-    // Candidates, in deterministic order: messages consumed after this
-    // receive, then the sorted leftovers.
-    const auto consider = [&](int src, int tag, int epoch,
-                              const std::vector<std::uint64_t>& vc) {
-      // Traffic from a different membership epoch can never have raced with
-      // this receive: the machine purges pre-agreement messages at the
-      // epoch boundary and crashed senders stop sending, so cross-epoch
-      // pairs are ordered by the membership barrier itself. Without this
-      // filter a shrink-to-survivors recovery would report false races
-      // between a rank's pre-crash traffic and post-recovery receives.
-      if (epoch != w.epoch) return;
-      if (w.race_check && matches(w.want_src, w.want_tag, src, tag) &&
-          !(src == w.matched_src && tag == w.matched_tag) && !vc.empty()) {
-        const VectorClock b(vc);
-        if (!w.matched_vc.empty() && matched.concurrent(b)) {
-          Finding f;
-          f.kind = w.fp ? FindingKind::kReductionOrder
-                        : FindingKind::kMessageRace;
-          f.rank = rank;
-          f.src = w.matched_src;
-          f.other_src = src;
-          f.tag = w.matched_tag;
-          f.phase = w.phase;
-          f.vtime = w.vtime;
-          f.clocks = "matched " + matched.str() + " vs pending " + b.str();
-          std::ostringstream os;
-          os << "wildcard receive on rank " << rank << " (want src="
-             << w.want_src << ", tag=" << w.want_tag << ") matched src="
-             << w.matched_src << " tag=" << w.matched_tag
-             << " while concurrent src=" << src << " tag=" << tag
-             << " was pending; either order is possible";
-          if (w.fp)
-            os << " — floating-point operand order is not "
-                  "happens-before-fixed";
-          f.detail = os.str();
-          add_finding(std::move(f));
-        } else if (w.completion.concurrent(b)) {
-          // The send is concurrent with the *completion* of the receive
-          // (it may have happened after the match, wall-clock-wise): the
-          // match could still have gone either way.
-          Finding f;
-          f.kind = w.fp ? FindingKind::kReductionOrder
-                        : FindingKind::kMessageRace;
-          f.rank = rank;
-          f.src = w.matched_src;
-          f.other_src = src;
-          f.tag = tag;
-          f.phase = w.phase;
-          f.vtime = w.vtime;
-          f.clocks = "recv " + w.completion.str() + " vs send " + b.str();
-          std::ostringstream os;
-          os << "send " << src << " -> " << rank << " tag " << tag
-             << " is concurrent with a completed wildcard receive (want src="
-             << w.want_src << ", tag=" << w.want_tag << ") that matched src="
-             << w.matched_src << " tag=" << w.matched_tag
-             << "; either message could have matched first";
-          if (w.fp)
-            os << " — floating-point operand order is not "
-                  "happens-before-fixed";
-          f.detail = os.str();
-          add_finding(std::move(f));
-        }
-      }
-      if (!reserved_done && tag < 0 &&
-          (w.want_src == kAnySource || src == w.want_src)) {
-        // Causally-later reserved traffic (e.g. a collective the receiver
-        // itself entered afterwards) cannot have been pending at the
-        // receive; only unordered reserved traffic is stealable.
-        const VectorClock b(vc);
-        if (vc.empty() || !w.completion.happens_before(b)) {
-          reserved_done = true;
-          Finding f;
-          f.kind = FindingKind::kTagViolation;
-          f.rank = rank;
-          f.src = src;
-          f.tag = tag;
-          f.phase = w.phase;
-          f.vtime = w.vtime;
-          f.clocks = w.completion.str();
-          std::ostringstream os;
-          os << "wildcard-tag user receive on rank " << rank
-             << " posted while reserved-tag " << tag << " traffic from "
-             << src << " is pending — it can steal collective traffic";
-          f.detail = os.str();
-          add_finding(std::move(f));
-        }
-      }
-    };
-
-    for (const auto& c : buf.consumed) {
-      if (c.index <= w.consume_index) continue;
-      consider(c.src, c.tag, c.epoch, c.vclock);
-    }
-    for (const Message* pm : rest)
-      consider(pm->src, pm->tag, pm->epoch, pm->vclock);
-  }
-}
-
-void Analyzer::on_run_end(
-    const std::vector<const std::deque<Message>*>& mailboxes,
-    const std::vector<double>& final_clocks) {
-  (void)final_clocks;  // fingerprints cover clocks via event vtimes already
-  // Quiescence: every rank is done, per-rank buffers are stable, and the
-  // final mailboxes hold the never-consumed messages. Merge in rank order
-  // so findings, counts, and the report are deterministic — and identical
-  // at every worker count.
-  events_ = 0;
-  static const std::deque<Message> kEmpty;
-  for (int r = 0; r < nranks_; ++r) {
-    auto& buf = rank_[static_cast<std::size_t>(r)];
-    events_ += buf.events;
-    any_consume_overflow_ = any_consume_overflow_ || buf.consume_overflow;
-    for (auto& f : buf.online) add_finding(std::move(f));
-    buf.online.clear();
-    const std::deque<Message>* box =
-        static_cast<std::size_t>(r) < mailboxes.size()
-            ? mailboxes[static_cast<std::size_t>(r)]
-            : &kEmpty;
-    run_deferred_checks(r, box ? *box : kEmpty);
-  }
-}
-
 std::string Analyzer::report() const {
   std::ostringstream os;
   os << "happens-before analysis: " << events_ << " events, " << total()
@@ -380,36 +422,11 @@ std::string Analyzer::report() const {
   if (total() > findings_.size())
     os << "  (" << (total() - findings_.size())
        << " further detection(s) deduplicated or past the cap)\n";
-  if (any_consume_overflow_)
-    os << "  (consume log capped at " << opt_.consume_log
-       << " messages/rank; some deferred checks were skipped)\n";
   return os.str();
 }
 
-std::size_t Analyzer::rank_memory_bytes(int rank) const {
-  const auto idx = static_cast<std::size_t>(rank);
-  if (idx >= rank_.size()) return 0;
-  const RankBuffer& rb = rank_[idx];
-  // Capacities, not sizes — this is what the rank's budget pays for.
-  std::size_t bytes =
-      clocks_[idx].components().capacity() * sizeof(std::uint64_t);
-  bytes += rb.online.capacity() * sizeof(Finding);
-  for (const Finding& f : rb.online)
-    bytes += f.clocks.capacity() + f.detail.capacity();
-  bytes += rb.recvs.capacity() * sizeof(PendingRecv);
-  for (const PendingRecv& r : rb.recvs)
-    bytes += r.matched_vc.capacity() * sizeof(std::uint64_t) +
-             r.completion.components().capacity() * sizeof(std::uint64_t);
-  bytes += rb.consumed.capacity() * sizeof(Consumed);
-  for (const Consumed& c : rb.consumed)
-    bytes += c.vclock.capacity() * sizeof(std::uint64_t);
-  return bytes;
-}
-
 std::size_t Analyzer::memory_bytes() const {
-  std::size_t bytes = 0;
-  for (int r = 0; r < nranks_; ++r) bytes += rank_memory_bytes(r);
-  bytes += findings_.capacity() * sizeof(Finding);
+  std::size_t bytes = pass_bytes_ + findings_.capacity() * sizeof(Finding);
   for (const Finding& f : findings_)
     bytes += f.clocks.capacity() + f.detail.capacity();
   return bytes;

@@ -17,19 +17,20 @@ std::string AuditResult::summary() const {
 }
 
 AuditResult audit_determinism(
-    sim::Machine& machine, sim::MachineObserver& observer,
-    const Analyzer& analyzer,
+    sim::Machine& machine, trace::RunRecord& record, Analyzer& analyzer,
     const std::function<void(sim::Comm&)>& program,
     const std::function<void()>& between_runs) {
   sim::MachineObserver* previous = machine.observer();
   AuditResult out;
-  machine.set_observer(&observer);
+  machine.set_observer(&record);
   try {
     machine.run(program);
+    analyzer.analyze(record);
     out.fingerprint_first = analyzer.fingerprint();
     out.events_first = analyzer.events();
     if (between_runs) between_runs();
     out.run = machine.run(program);
+    analyzer.analyze(record);
     out.fingerprint_second = analyzer.fingerprint();
     out.events_second = analyzer.events();
     out.findings = analyzer.total();

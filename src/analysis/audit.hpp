@@ -7,6 +7,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "sim/machine.hpp"
+#include "trace/run_record.hpp"
 
 namespace picpar::sim {
 class Comm;
@@ -31,19 +32,18 @@ struct AuditResult {
   std::string summary() const;
 };
 
-/// Run `program` twice on `machine` with `observer` installed and compare
-/// the happens-before DAG fingerprints that `analyzer` computes. The
-/// observer is the analyzer itself or a chain that contains it (run_pic
-/// chains the tracer behind it). A deterministic seeded program produces
-/// identical virtual executions, so any divergence means hidden state
-/// (iteration over pointer-keyed containers, uninitialized reads, leaked
-/// state between runs) is steering communication. The machine's previous
-/// observer is restored on exit. The program must be re-runnable: if it
-/// writes external state (accumulates into captured buffers), the caller
-/// resets that state via `between_runs`.
+/// Run `program` twice on `machine` with `record` installed, and compare
+/// the happens-before DAG fingerprints that `analyzer` computes from it
+/// after each run. A deterministic seeded program produces identical
+/// virtual executions, so any divergence means hidden state (iteration
+/// over pointer-keyed containers, uninitialized reads, leaked state between
+/// runs) is steering communication. The record holds the second run
+/// afterwards, and the machine's previous observer is restored on exit.
+/// The program must be re-runnable: if it writes external state
+/// (accumulates into captured buffers), the caller resets that state via
+/// `between_runs`.
 AuditResult audit_determinism(
-    sim::Machine& machine, sim::MachineObserver& observer,
-    const Analyzer& analyzer,
+    sim::Machine& machine, trace::RunRecord& record, Analyzer& analyzer,
     const std::function<void(sim::Comm&)>& program,
     const std::function<void()>& between_runs = nullptr);
 

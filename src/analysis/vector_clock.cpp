@@ -6,13 +6,11 @@
 
 namespace picpar::analysis {
 
-void VectorClock::merge(const VectorClock& other) { merge(other.c_); }
-
-void VectorClock::merge(const std::vector<std::uint64_t>& other) {
-  if (other.size() != c_.size())
+void VectorClock::merge(const VectorClock& other) {
+  if (other.c_.size() != c_.size())
     throw std::invalid_argument("VectorClock::merge: size mismatch");
   for (std::size_t i = 0; i < c_.size(); ++i)
-    c_[i] = std::max(c_[i], other[i]);
+    c_[i] = std::max(c_[i], other.c_[i]);
 }
 
 bool VectorClock::happens_before(const VectorClock& other) const {

@@ -2,12 +2,11 @@
 // happens-before analyzer.
 //
 // Component r counts the events rank r has executed. An event is a send,
-// a completed receive, or anything else the tracker chooses to tick. The
-// clock of a send rides on the message; a receive merges it into the
-// receiver's clock, which is exactly Mattern/Fidge vector time: event a
-// happens-before event b iff clock(a) < clock(b) component-wise (with at
-// least one strict), and two events are concurrent iff their clocks are
-// incomparable.
+// a completed receive, or anything else the tracker chooses to tick. A
+// receive merges the matched send's clock into the receiver's, which is
+// exactly Mattern/Fidge vector time: event a happens-before event b iff
+// clock(a) < clock(b) component-wise (with at least one strict), and two
+// events are concurrent iff their clocks are incomparable.
 #pragma once
 
 #include <cstddef>
@@ -22,15 +21,12 @@ public:
   VectorClock() = default;
   explicit VectorClock(int nranks)
       : c_(static_cast<std::size_t>(nranks), 0) {}
-  explicit VectorClock(std::vector<std::uint64_t> components)
-      : c_(std::move(components)) {}
 
   int size() const { return static_cast<int>(c_.size()); }
   bool empty() const { return c_.empty(); }
   std::uint64_t operator[](int rank) const {
     return c_[static_cast<std::size_t>(rank)];
   }
-  const std::vector<std::uint64_t>& components() const { return c_; }
 
   /// Advance this rank's own component (call on every local event).
   void tick(int rank) { ++c_[static_cast<std::size_t>(rank)]; }
@@ -38,7 +34,6 @@ public:
   /// Component-wise max with another clock (call on message receipt,
   /// before the receive event's own tick).
   void merge(const VectorClock& other);
-  void merge(const std::vector<std::uint64_t>& other);
 
   /// True iff this clock's event happens-before other's (strictly).
   bool happens_before(const VectorClock& other) const;

@@ -439,35 +439,31 @@ PicResult run_stepper(const RunSetup& run, const Driver& driver) {
   if (params.exec.parallel || sim::parallel_env_enabled())
     machine.set_workers(sim::resolve_workers(params.exec.workers));
 
-  // ---- opt-in happens-before analysis (zero cost when off) ----
+  // ---- opt-in analysis and tracing (zero cost when off) ----
+  // Both read one record of the run afterwards; it is the machine's only
+  // observer while either is on.
   const bool analyze_on = params.analyze.enabled ||
                           params.analyze.audit_determinism ||
                           analysis::analyzer_env_enabled();
-  analysis::Analyzer analyzer;
-
-  // ---- opt-in deterministic tracing (zero cost when off) ----
   TraceParams tp = params.trace;
   if (tp.path.empty())
     if (const char* p = trace::trace_env_path()) tp.path = p;
   if (tp.metrics_path.empty())
     if (const char* p = trace::trace_metrics_env_path()) tp.metrics_path = p;
   const bool trace_on = tp.on();
-  trace::Tracer tracer;
-
-  sim::ObserverChain observers;
-  if (analyze_on) observers.add(&analyzer);
-  if (trace_on) observers.add(&tracer);
-  if (!observers.empty()) machine.set_observer(&observers);
+  trace::RunRecord record;
+  if (analyze_on || trace_on) machine.set_observer(&record);
+  analysis::Analyzer analyzer;
 
   int audit_state = -1;
   sim::RunResult ran;
   if (analyze_on && params.analyze.audit_determinism) {
     // Per-rank outputs, the energy history and the components' shared
     // state (run_pic's checkpoint store) are host-side state the program
-    // accumulates into, so they reset between the two runs; the result is
-    // the second run's.
+    // accumulates into, so they reset between the two runs; the result and
+    // the record are the second run's.
     auto audit = analysis::audit_determinism(
-        machine, observers, analyzer, program, [&] {
+        machine, record, analyzer, program, [&] {
           for (auto& o : outputs) o = RankOutput{};
           energy.clear();
           driver.reset();
@@ -476,6 +472,7 @@ PicResult run_stepper(const RunSetup& run, const Driver& driver) {
     ran = std::move(audit.run);
   } else {
     ran = machine.run(program);
+    if (analyze_on) analyzer.analyze(record);
   }
 
   // ---- Aggregate ----
@@ -596,6 +593,7 @@ PicResult run_stepper(const RunSetup& run, const Driver& driver) {
   }
 
   if (trace_on) {
+    trace::Tracer tracer(record);
     result.traced = true;
     result.trace_events = tracer.events();
     result.phase_wall_us.assign(static_cast<std::size_t>(sim::kNumPhases),
@@ -604,7 +602,7 @@ PicResult run_stepper(const RunSetup& run, const Driver& driver) {
       result.phase_wall_us[static_cast<std::size_t>(s.phase)] += s.w1 - s.w0;
     // The analyzer's own footprint (vector clocks are O(p) per rank by
     // design — opt-in diagnostics) joins the mem.* breakdown only when both
-    // observers ran; folded here, before the snapshot, because the tracer
+    // readers ran; folded here, before the snapshot, because the tracer
     // cannot see the analyzer.
     if (analyze_on)
       tracer.metrics().set("mem.analyzer_bytes",

@@ -11,8 +11,8 @@
 // dependent draws), field seeds are functions of the *global* node
 // coordinate, and the driver field is a function of (virtual time,
 // position). Sequential and parallel execution therefore stay bit-identical
-// for every scenario, and the legacy path (PicParams::scenario == "") is
-// untouched byte-for-byte.
+// for every scenario. The scenario is the only workload path: an empty or
+// unknown name is refused (get_scenario throws and lists the registry).
 //
 // Registry:
 //   uniform          the paper's uniform case (migrated from src/pic)

@@ -108,8 +108,9 @@ public:
   /// Emit a named instant into an attached observer's event stream (e.g. a
   /// redistribution decision, a per-iteration sample). Free when no
   /// observer is installed; never affects clocks, matching, or stats, so a
-  /// program may mark unconditionally. `name` must be a string literal (or
-  /// otherwise outlive the callback); `iter` and `value` are caller-defined.
+  /// program may mark unconditionally. `name` must be a string literal:
+  /// the run's record (trace::RunRecord) keeps the pointer past the run.
+  /// `iter` and `value` are caller-defined.
   void mark(const char* name, std::int64_t iter = 0, double value = 0.0) {
     machine_->note_mark(rank_, name, iter, value);
   }

@@ -582,7 +582,8 @@ int Machine::build_send(int src, int dst, int tag, Payload payload,
                         Message out[2], double* new_clock) {
   // Everything here touches only sender-owned state (clock arithmetic,
   // stats, per-destination sequence counters, the sender's fault stream,
-  // per-rank observer state), so it runs outside the engine mutex. The
+  // the observer's state for this rank), so it runs outside the engine
+  // mutex. The
   // caller publishes *new_clock only after enqueueing: a concurrent
   // lower-bound read must not see the post-charge clock while the message
   // it bounds is still in flight.
@@ -606,7 +607,6 @@ int Machine::build_send(int src, int dst, int tag, Payload payload,
   m.dst = dst;
   m.tag = tag;
   m.arrival = clock;
-  m.sent_phase = s.phase;
   m.epoch = s.epoch;
   m.payload = std::move(payload);
 
@@ -624,8 +624,8 @@ int Machine::build_send(int src, int dst, int tag, Payload payload,
     ev.phase = s.phase;
     ev.collective_depth = s.collective_depth;
     ev.vtime = clock;
-    // Stamped before any fault perturbation so a duplicated delivery
-    // carries the same send event (same vector clock).
+    // Fired before any fault perturbation: a duplicated delivery is the
+    // same send event, keyed by the same (src, dst, seq).
     observer_->on_send(m, ev);
   }
 

@@ -13,8 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/comm_stats.hpp"
-
 namespace picpar::sim {
 
 /// Wildcards for Comm::recv matching.
@@ -157,17 +155,10 @@ struct Message {
   /// matching breaks the tie in favor of the original so dedup behavior is
   /// schedule-independent.
   bool dup = false;
-  /// Sender's phase when the message was posted; the analysis layer checks
-  /// it against the receiver's phase at delivery (metadata, never costed).
-  Phase sent_phase = Phase::kOther;
   /// Membership epoch the sender executed in when posting (metadata, never
   /// costed). Survivor mailboxes are purged of pre-agreement epochs after a
   /// membership change, and the analyzer never pairs receives across epochs.
   int epoch = 0;
-  /// Sender's vector clock at the send event, stamped by an installed
-  /// MachineObserver (see sim/observer.hpp); empty when none is attached.
-  /// The send event is identified by (src, vclock[src]).
-  std::vector<std::uint64_t> vclock;
   Payload payload;
 
   std::size_t bytes() const { return payload.size(); }

@@ -6,12 +6,13 @@
 // one thread at a time, but with several workers (Machine::set_workers)
 // ranks of different blocks call back concurrently: an observer keeps
 // per-rank state and merges across ranks only at on_run_end, when every
-// rank has finished.
+// rank has finished. The machine's one observer slot holds
+// trace::RunRecord whenever tracing or analysis is on.
 //
-// The observer may stamp metadata onto an outgoing Message (vclock); the
-// machine itself never reads those fields, so an installed observer cannot
-// change virtual time, matching, or traffic accounting. With no observer
-// installed the hooks cost one pointer test per event.
+// An observer only reads: it writes nothing onto a Message, so an
+// installed observer cannot change virtual time, matching, or traffic
+// accounting. With no observer installed the hooks cost one pointer test
+// per event.
 #pragma once
 
 #include <cstddef>
@@ -60,7 +61,7 @@ struct PhaseEvent {
 /// for observers, and emitting one is a no-op when no observer is set.
 struct MarkEvent {
   int rank = 0;
-  const char* name = "";  ///< string literal; observers that buffer must copy
+  const char* name = "";  ///< a string literal: observers keep the pointer
   Phase phase = Phase::kOther;  ///< rank's phase when the mark fired
   double vtime = 0.0;           ///< rank clock when the mark fired
   std::int64_t iter = 0;        ///< caller-defined slot (e.g. PIC iteration)
@@ -74,8 +75,8 @@ public:
   /// A run is starting on `nranks` ranks; per-run state should reset here.
   virtual void on_run_start(int nranks) = 0;
 
-  /// `m` is about to be enqueued at the destination. The observer may write
-  /// m.vclock; everything else on the message is read-only by convention.
+  /// `m` is about to be enqueued at the destination (its seq and epoch are
+  /// assigned). Observers read it and never write it.
   virtual void on_send(Message& m, const SendEvent& e) = 0;
 
   /// `m` was matched and removed from the mailbox; `mailbox` holds the
@@ -104,42 +105,6 @@ public:
     (void)mailboxes;
     (void)final_clocks;
   }
-};
-
-/// Fans every callback out to several observers in registration order, so
-/// more than one (e.g. the analyzer plus the tracer) can watch one run
-/// through the machine's single observer slot.
-class ObserverChain final : public MachineObserver {
-public:
-  void add(MachineObserver* obs) {
-    if (obs) observers_.push_back(obs);
-  }
-  bool empty() const { return observers_.empty(); }
-  std::size_t size() const { return observers_.size(); }
-
-  void on_run_start(int nranks) override {
-    for (auto* o : observers_) o->on_run_start(nranks);
-  }
-  void on_send(Message& m, const SendEvent& e) override {
-    for (auto* o : observers_) o->on_send(m, e);
-  }
-  void on_recv(const Message& m, const RecvEvent& e,
-               const std::deque<Message>& mailbox) override {
-    for (auto* o : observers_) o->on_recv(m, e, mailbox);
-  }
-  void on_phase(const PhaseEvent& e) override {
-    for (auto* o : observers_) o->on_phase(e);
-  }
-  void on_mark(const MarkEvent& e) override {
-    for (auto* o : observers_) o->on_mark(e);
-  }
-  void on_run_end(const std::vector<const std::deque<Message>*>& mailboxes,
-                  const std::vector<double>& final_clocks) override {
-    for (auto* o : observers_) o->on_run_end(mailboxes, final_clocks);
-  }
-
-private:
-  std::vector<MachineObserver*> observers_;
 };
 
 }  // namespace picpar::sim

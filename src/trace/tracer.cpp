@@ -2,183 +2,88 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <stdexcept>
 
 #include "util/env.hpp"
-#include "util/sparse_rank.hpp"
-#include "util/wall_clock.hpp"
 
 namespace picpar::trace {
 
 using detail::append_num;
 
-double Tracer::wall_us() const {
-  return static_cast<double>(util::wall_clock() - wall_base_ns_) * 1e-3;
-}
+namespace {
 
-void Tracer::on_run_start(int nranks) {
-  nranks_ = nranks;
-  bufs_.assign(static_cast<std::size_t>(nranks), RankBuf{});
-  wall_base_ns_ = util::wall_clock();
-  data_ = TraceData{};
-  timeline_ = RedistTimeline{};
-  metrics_.clear();
-  events_ = 0;
-}
+using Kind = RecordEvent::Kind;
 
-void Tracer::on_send(sim::Message& m, const sim::SendEvent& e) {
-  RankBuf& b = bufs_[static_cast<std::size_t>(e.src)];
-  b.events += 1;
-  if (b.sends.size() >= opt_.max_sends_per_rank) {
-    b.dropped_sends += 1;
-    return;
-  }
-  SendRec rec;
-  rec.dst = e.dst;
-  rec.tag = e.tag;
-  rec.seq = m.seq;
-  rec.bytes = e.bytes;
-  rec.phase = e.phase;
-  rec.vtime = e.vtime;
-  rec.collective = e.collective_depth > 0;
-  b.sends.push_back(rec);
-}
+}  // namespace
 
-void Tracer::on_recv(const sim::Message& m, const sim::RecvEvent& e,
-                     const std::deque<sim::Message>& mailbox) {
-  // The mailbox snapshot is schedule-dependent with several workers;
-  // nothing recorded here may derive from it.
-  (void)mailbox;
-  RankBuf& b = bufs_[static_cast<std::size_t>(e.rank)];
-  b.events += 1;
-  if (b.recvs.size() >= opt_.max_recvs_per_rank) {
-    b.dropped_recvs += 1;
-    return;
-  }
-  RecvRec rec;
-  rec.src = m.src;
-  rec.seq = m.seq;
-  rec.phase = e.phase;
-  rec.vtime = e.vtime;
-  b.recvs.push_back(rec);
-}
-
-void Tracer::on_phase(const sim::PhaseEvent& e) {
-  RankBuf& b = bufs_[static_cast<std::size_t>(e.rank)];
-  b.events += 1;
-  const double w = wall_us();
-  Span s;
-  s.rank = e.rank;
-  s.phase = b.cur_phase;
-  s.t0 = b.cur_t0;
-  s.t1 = e.vtime;
-  s.w0 = b.cur_w0;
-  s.w1 = w;
-  b.spans.push_back(s);
-  b.cur_phase = e.to;
-  b.cur_t0 = e.vtime;
-  b.cur_w0 = w;
-}
-
-void Tracer::on_mark(const sim::MarkEvent& e) {
-  RankBuf& b = bufs_[static_cast<std::size_t>(e.rank)];
-  b.events += 1;
-  if (b.marks.size() >= opt_.max_marks_per_rank) {
-    b.dropped_marks += 1;
-    return;
-  }
-  MarkRec rec;
-  rec.name = e.name;
-  rec.phase = e.phase;
-  rec.vtime = e.vtime;
-  rec.iter = e.iter;
-  rec.value = e.value;
-  b.marks.push_back(std::move(rec));
-}
-
-void Tracer::on_run_end(
-    const std::vector<const std::deque<sim::Message>*>& mailboxes,
-    const std::vector<double>& final_clocks) {
-  // Quiescence: all ranks done, per-rank buffers stable. Merge in rank
-  // order so every derived artifact is schedule-independent.
-  const double w_end = wall_us();
-  data_ = TraceData{};
-  data_.nranks = nranks_;
-  data_.final_clocks = final_clocks;
-
-  for (int r = 0; r < nranks_; ++r) {
-    RankBuf& b = bufs_[static_cast<std::size_t>(r)];
-    Span tail;
-    tail.rank = r;
-    tail.phase = b.cur_phase;
-    tail.t0 = b.cur_t0;
-    tail.t1 = final_clocks[static_cast<std::size_t>(r)];
-    tail.w0 = b.cur_w0;
-    tail.w1 = w_end;
-    b.spans.push_back(tail);
-    data_.spans.insert(data_.spans.end(), b.spans.begin(), b.spans.end());
-
-    for (auto& m : b.marks) {
-      Mark out;
-      out.rank = r;
-      out.name = std::move(m.name);
-      out.phase = m.phase;
-      out.vtime = m.vtime;
-      out.iter = m.iter;
-      out.value = m.value;
-      data_.marks.push_back(std::move(out));
+Tracer::Tracer(const RunRecord& record) {
+  if (!record.complete())
+    throw std::logic_error("Tracer: the record holds no completed run");
+  const int nranks = record.nranks();
+  // Wall microseconds since the run's start; only the w0/w1 span fields,
+  // which no exporter writes, use them (run_pic sums them into
+  // PicResult::phase_wall_us).
+  const auto wall_us = [&](std::uint64_t ns) {
+    return static_cast<double>(ns - record.wall_start_ns()) * 1e-3;
+  };
+  data_.nranks = nranks;
+  data_.final_clocks = record.final_clocks();
+  for (int r = 0; r < nranks; ++r) {
+    Span open;  // the rank starts in kOther at t = 0
+    open.rank = r;
+    for (const RecordEvent& e : record.events(r)) {
+      if (e.kind == Kind::kPhase) {
+        open.t1 = e.vtime;
+        open.w1 = wall_us(e.change.wall_ns);
+        data_.spans.push_back(open);
+        open.phase = e.phase;
+        open.t0 = open.t1;
+        open.w0 = open.w1;
+      } else if (e.kind == Kind::kMark) {
+        data_.marks.push_back(Mark{r, e.mark.name, e.phase, e.vtime,
+                                   e.mark.iter, e.mark.value});
+      }
     }
-    data_.dropped_sends += b.dropped_sends;
-    data_.dropped_recvs += b.dropped_recvs;
-    data_.dropped_marks += b.dropped_marks;
-    events_ += b.events;
+    open.t1 = data_.final_clocks[static_cast<std::size_t>(r)];
+    open.w1 = wall_us(record.wall_end_ns());
+    data_.spans.push_back(open);
+    data_.dropped_sends += record.dropped(r, Kind::kSend);
+    data_.dropped_recvs += record.dropped(r, Kind::kRecv);
+    data_.dropped_marks += record.dropped(r, Kind::kMark);
+    data_.unreceived_msgs += record.leftovers(r).size();
   }
-  for (const auto* box : mailboxes)
-    data_.unreceived_msgs += box->size();
+  events_ = record.total_events();
 
-  build_flows();
+  build_flows(record);
   build_timeline();
-  build_metrics();
-
-  bufs_.clear();
+  build_metrics(record);
 }
 
-void Tracer::build_flows() {
-  // A link's sends are recorded in seq order (per-link seqs are dense and
-  // a rank's drops are a suffix of its stream), so index == seq. Links are
-  // sparse in the destinations a sender actually touched — a neighbor-local
-  // workload at p ranks touches O(neighbors) peers, so a dense p x p table
-  // here would be the tracer's own O(p^2) blowup.
-  std::vector<util::SparseRankMap<std::vector<const SendRec*>>> by_src(
-      static_cast<std::size_t>(nranks_));
-  for (int s = 0; s < nranks_; ++s)
-    for (const SendRec& rec : bufs_[static_cast<std::size_t>(s)].sends)
-      by_src[static_cast<std::size_t>(s)].ref(rec.dst).push_back(&rec);
-  for (int r = 0; r < nranks_; ++r) {
-    for (const RecvRec& rec : bufs_[static_cast<std::size_t>(r)].recvs) {
-      const auto* link = by_src[static_cast<std::size_t>(rec.src)].find(r);
-      if (!link || rec.seq >= link->size())
-        continue;  // send record was dropped
-      const SendRec& send = *(*link)[rec.seq];
+void Tracer::build_flows(const RunRecord& record) {
+  for (int r = 0; r < record.nranks(); ++r) {
+    for (const RecordEvent& e : record.events(r)) {
+      if (e.kind != Kind::kRecv) continue;
+      const std::size_t i = record.send_index(e.recv.src, r, e.recv.seq);
+      if (i == RunRecord::kNoEvent) continue;  // the send was not stored
+      const RecordEvent& send = record.events(e.recv.src)[i];
       Flow f;
-      f.src = rec.src;
+      f.src = e.recv.src;
       f.dst = r;
-      f.tag = send.tag;
-      f.seq = rec.seq;
-      f.bytes = send.bytes;
+      f.tag = send.send.tag;
+      f.seq = e.recv.seq;
+      f.bytes = send.send.bytes;
       f.send_phase = send.phase;
-      f.recv_phase = rec.phase;
+      f.recv_phase = e.phase;
       f.t_send = send.vtime;
-      f.t_recv = rec.vtime;
-      f.collective = send.collective;
+      f.t_recv = e.vtime;
+      f.collective = send.send.collective;
       data_.flows.push_back(f);
     }
   }
 }
 
 void Tracer::build_timeline() {
-  timeline_ = RedistTimeline{};
-  timeline_.nranks = nranks_;
+  timeline_.nranks = data_.nranks;
   auto sample = [&](std::int64_t iter) -> IterSample& {
     const auto want = static_cast<std::size_t>(iter) + 1;
     if (timeline_.iters.size() < want) {
@@ -187,7 +92,7 @@ void Tracer::build_timeline() {
       for (std::size_t i = from; i < want; ++i) {
         timeline_.iters[i].iter = static_cast<std::int64_t>(i);
         timeline_.iters[i].particles.assign(
-            static_cast<std::size_t>(nranks_), 0);
+            static_cast<std::size_t>(data_.nranks), 0);
       }
     }
     return timeline_.iters[static_cast<std::size_t>(iter)];
@@ -214,19 +119,20 @@ void Tracer::build_timeline() {
   }
 }
 
-void Tracer::build_metrics() {
+void Tracer::build_metrics(const RunRecord& record) {
   for (const Span& s : data_.spans) {
     const double us = (s.t1 - s.t0) * 1e6;
     metrics_.observe(std::string("phase.") + sim::phase_name(s.phase) +
                          ".span_us",
                      static_cast<std::uint64_t>(std::llround(us)));
   }
-  for (int r = 0; r < nranks_; ++r) {
-    for (const SendRec& rec : bufs_[static_cast<std::size_t>(r)].sends) {
-      const std::string p = sim::phase_name(rec.phase);
+  for (int r = 0; r < record.nranks(); ++r) {
+    for (const RecordEvent& e : record.events(r)) {
+      if (e.kind != Kind::kSend) continue;
+      const std::string p = sim::phase_name(e.phase);
       metrics_.add("phase." + p + ".msgs_sent");
-      metrics_.add("phase." + p + ".bytes_sent", rec.bytes);
-      metrics_.observe("msg.bytes", rec.bytes);
+      metrics_.add("phase." + p + ".bytes_sent", e.send.bytes);
+      metrics_.observe("msg.bytes", e.send.bytes);
     }
   }
   for (const Flow& f : data_.flows) {
@@ -291,7 +197,7 @@ void Tracer::build_metrics() {
   double makespan = 0.0;
   for (double c : data_.final_clocks) makespan = std::max(makespan, c);
   metrics_.set("run.makespan_seconds", makespan);
-  metrics_.set("run.ranks", static_cast<double>(nranks_));
+  metrics_.set("run.ranks", static_cast<double>(data_.nranks));
 
   if (!timeline_.iters.empty()) {
     metrics_.add("pic.iterations", timeline_.iters.size());

@@ -1,17 +1,14 @@
 // Deterministic tracer for the simulated machine.
 //
-// A Tracer is a sim::MachineObserver that records, per rank: phase spans
-// (virtual-time intervals between Comm::set_phase changes), message
-// send/receive records for flow reconstruction, and named instants
-// (Comm::mark). Like the analyzer, it obeys the mode-independence rule:
-// every callback touches only the fired rank's buffer, and all cross-rank
-// work — closing the final spans at the ranks' final clocks, matching
-// sends to receives into flows, building the redistribution timeline,
-// populating the metrics registry — is deferred to on_run_end, the
-// quiescence point, and merged in rank order. The per-rank event sequences
-// and virtual times are schedule-independent, so everything derived from
-// them (TraceData minus wall-time fields, RedistTimeline, MetricsSnapshot)
-// is byte-identical between sequential and parallel execution.
+// A Tracer reads a completed RunRecord (trace/run_record.hpp) and derives,
+// in rank order: phase spans (virtual-time intervals between
+// Comm::set_phase changes, the last closed at the rank's final clock),
+// message flows (each receive paired with its send), named instants
+// (Comm::mark), the redistribution timeline and the metrics registry. The
+// record's per-rank event sequences and virtual times are
+// schedule-independent, so everything derived from them (TraceData minus
+// wall-time fields, RedistTimeline, MetricsSnapshot) is byte-identical
+// between sequential and parallel execution.
 //
 // Wall-clock times are recorded alongside the virtual spans but no
 // exporter writes them; they describe one run on one host, not the
@@ -22,8 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/observer.hpp"
 #include "trace/metrics.hpp"
+#include "trace/run_record.hpp"
 
 namespace picpar::trace {
 
@@ -93,8 +90,7 @@ struct Flow {
   bool collective = false;
 };
 
-/// One named instant (Comm::mark or transport event), copied out of the
-/// MarkEvent.
+/// One named instant (Comm::mark or transport event).
 struct Mark {
   int rank = 0;
   std::string name;
@@ -111,7 +107,7 @@ struct TraceData {
   std::vector<Flow> flows;  ///< receiver-major, receive order
   std::vector<Mark> marks;  ///< rank-major, emit order
   std::vector<double> final_clocks;
-  std::uint64_t dropped_sends = 0;  ///< send records lost to the cap
+  std::uint64_t dropped_sends = 0;  ///< sends past the record's budget
   std::uint64_t dropped_recvs = 0;
   std::uint64_t dropped_marks = 0;
   std::uint64_t unreceived_msgs = 0;  ///< left in mailboxes at quiescence
@@ -144,91 +140,23 @@ struct RedistTimeline {
   std::string to_csv() const;
 };
 
-class Tracer final : public sim::MachineObserver {
+class Tracer {
 public:
-  struct Options {
-    /// Per-rank caps; once hit, later records are counted as dropped, not
-    /// stored. Drops are a suffix of each rank's stream, so flow matching
-    /// on the recorded prefix stays exact.
-    std::size_t max_sends_per_rank = std::size_t{1} << 18;
-    std::size_t max_recvs_per_rank = std::size_t{1} << 18;
-    std::size_t max_marks_per_rank = std::size_t{1} << 16;
-  };
+  /// Derive everything from `record`, which must hold a completed run.
+  explicit Tracer(const RunRecord& record);
 
-  Tracer() = default;
-  explicit Tracer(const Options& opt) : opt_(opt) {}
-
-  void on_run_start(int nranks) override;
-  void on_send(sim::Message& m, const sim::SendEvent& e) override;
-  void on_recv(const sim::Message& m, const sim::RecvEvent& e,
-               const std::deque<sim::Message>& mailbox) override;
-  void on_phase(const sim::PhaseEvent& e) override;
-  void on_mark(const sim::MarkEvent& e) override;
-  void on_run_end(
-      const std::vector<const std::deque<sim::Message>*>& mailboxes,
-      const std::vector<double>& final_clocks) override;
-
-  // ---- results (valid after a completed run; reset by the next run) ----
   const TraceData& data() const { return data_; }
   const RedistTimeline& timeline() const { return timeline_; }
   const MetricsRegistry& metrics() const { return metrics_; }
   MetricsRegistry& metrics() { return metrics_; }
-  /// Observer callbacks fired during the run (sends + receives + phase
-  /// changes + marks), before any cap.
+  /// Events the run fired (sends + receives + phase changes + marks),
+  /// stored or past the budget.
   std::uint64_t events() const { return events_; }
 
 private:
-  struct SendRec {
-    int dst = 0;
-    int tag = 0;
-    std::uint64_t seq = 0;
-    std::size_t bytes = 0;
-    sim::Phase phase = sim::Phase::kOther;
-    double vtime = 0.0;
-    bool collective = false;
-  };
-  struct RecvRec {
-    int src = 0;
-    std::uint64_t seq = 0;
-    sim::Phase phase = sim::Phase::kOther;
-    double vtime = 0.0;
-  };
-  struct MarkRec {
-    std::string name;
-    sim::Phase phase = sim::Phase::kOther;
-    double vtime = 0.0;
-    std::int64_t iter = 0;
-    double value = 0.0;
-  };
-  /// Rank-private buffer: callbacks for rank r touch only bufs_[r].
-  struct RankBuf {
-    std::vector<Span> spans;  ///< closed spans
-    sim::Phase cur_phase = sim::Phase::kOther;
-    double cur_t0 = 0.0;
-    double cur_w0 = 0.0;
-    std::vector<SendRec> sends;
-    std::vector<RecvRec> recvs;
-    std::vector<MarkRec> marks;
-    std::uint64_t dropped_sends = 0;
-    std::uint64_t dropped_recvs = 0;
-    std::uint64_t dropped_marks = 0;
-    std::uint64_t events = 0;
-  };
-
-  /// Wall microseconds since on_run_start, via the project's one sanctioned
-  /// wall-clock source (util::wall_clock; see wall-clock-in-sim in
-  /// DESIGN.md section 12). Used only for the w0/w1 span fields, which
-  /// no exporter writes; run_pic sums them into PicResult::phase_wall_us.
-  double wall_us() const;
-
-  void build_flows();
+  void build_flows(const RunRecord& record);
   void build_timeline();
-  void build_metrics();
-
-  Options opt_;
-  int nranks_ = 0;
-  std::vector<RankBuf> bufs_;
-  std::uint64_t wall_base_ns_ = 0;  ///< util::wall_clock() at run start
+  void build_metrics(const RunRecord& record);
 
   TraceData data_;
   RedistTimeline timeline_;

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "analysis/audit.hpp"
 #include "sim/comm.hpp"
 #include "sim/faults.hpp"
+#include "trace/run_record.hpp"
 
 namespace picpar::analysis {
 namespace {
@@ -23,6 +25,18 @@ using sim::kAnySource;
 using sim::kAnyTag;
 using sim::Machine;
 using sim::Phase;
+using trace::RunRecord;
+
+/// Run `program` on `m` with a record attached, then analyze the record.
+sim::RunResult run_analyzed(Machine& m, Analyzer& a,
+                            const std::function<void(Comm&)>& program) {
+  RunRecord record;
+  m.set_observer(&record);
+  auto run = m.run(program);
+  m.set_observer(nullptr);
+  a.analyze(record);
+  return run;
+}
 
 /// Two concurrent senders into one wildcard receiver: the canonical
 /// message race. Nothing orders rank 1's send against rank 2's.
@@ -37,8 +51,7 @@ void racy_program(Comm& c) {
 TEST(Analyzer, DetectsSeededMessageRace) {
   Machine m(3, CostModel::zero());
   Analyzer a;
-  m.set_observer(&a);
-  m.run(racy_program);
+  run_analyzed(m, a, racy_program);
   EXPECT_GE(a.count(FindingKind::kMessageRace), 1u);
   EXPECT_EQ(a.count(FindingKind::kTagViolation), 0u);
   EXPECT_EQ(a.count(FindingKind::kPhaseMismatch), 0u);
@@ -58,8 +71,7 @@ TEST(Analyzer, OrderedSendsAreNotARace) {
   // two sends into the wildcard receives are happens-before ordered.
   Machine m(3, CostModel::zero());
   Analyzer a;
-  m.set_observer(&a);
-  m.run([](Comm& c) {
+  run_analyzed(m, a, [](Comm& c) {
     if (c.rank() == 1) c.send_value<int>(0, 5, 1);
     if (c.rank() == 0) {
       (void)c.recv<int>(kAnySource, 5);
@@ -79,8 +91,7 @@ TEST(Analyzer, SpecificSourceReceivesAreNotARace) {
   // deterministic, so no race.
   Machine m(3, CostModel::zero());
   Analyzer a;
-  m.set_observer(&a);
-  m.run([](Comm& c) {
+  run_analyzed(m, a, [](Comm& c) {
     if (c.rank() == 1 || c.rank() == 2) c.send_value<int>(0, 5, c.rank());
     if (c.rank() == 0) {
       (void)c.recv<int>(1, 5);
@@ -93,8 +104,7 @@ TEST(Analyzer, SpecificSourceReceivesAreNotARace) {
 TEST(Analyzer, OrderInsensitiveScopeSuppressesRaceFindings) {
   Machine m(3, CostModel::zero());
   Analyzer a;
-  m.set_observer(&a);
-  m.run([](Comm& c) {
+  run_analyzed(m, a, [](Comm& c) {
     if (c.rank() == 1 || c.rank() == 2) c.send_value<int>(0, 5, c.rank());
     if (c.rank() == 0) {
       Comm::OrderInsensitive scope(c);  // results keyed by source
@@ -111,8 +121,7 @@ TEST(Analyzer, FlagsFloatingPointReductionOrder) {
   // the race is classified as reduction-order sensitivity.
   Machine m(3, CostModel::zero());
   Analyzer a;
-  m.set_observer(&a);
-  m.run([](Comm& c) {
+  run_analyzed(m, a, [](Comm& c) {
     if (c.rank() == 1 || c.rank() == 2)
       c.send_value<double>(0, 7, 0.1 * c.rank());
     if (c.rank() == 0) {
@@ -131,8 +140,7 @@ TEST(Analyzer, FlagsReservedTagUse) {
   Machine m(2, CostModel::zero());
   m.set_strict_tags(false);  // record findings instead of throwing
   Analyzer a;
-  m.set_observer(&a);
-  m.run([](Comm& c) {
+  run_analyzed(m, a, [](Comm& c) {
     if (c.rank() == 0) c.send_value<int>(1, -7, 42);
     if (c.rank() == 1) (void)c.recv<int>(0, kAnyTag);
   });
@@ -148,8 +156,7 @@ TEST(Analyzer, FlagsWildcardReceiveThatCanStealCollectiveTraffic) {
   Machine m(2, CostModel::zero());
   m.set_strict_tags(false);
   Analyzer a;
-  m.set_observer(&a);
-  m.run([](Comm& c) {
+  run_analyzed(m, a, [](Comm& c) {
     if (c.rank() == 0) {
       c.send_value<int>(1, Comm::kTagRetransmit, 1);
       c.send_value<int>(1, 3, 2);
@@ -180,8 +187,7 @@ void misattributing_program(Comm& c) {
 TEST(Analyzer, FlagsPhaseMisattribution) {
   Machine m(2, CostModel::zero());
   Analyzer a;
-  m.set_observer(&a);
-  m.run(misattributing_program);
+  run_analyzed(m, a, misattributing_program);
   EXPECT_EQ(a.count(FindingKind::kPhaseMismatch), 1u);
   const auto& f = a.findings().at(0);
   EXPECT_EQ(f.phase, Phase::kGather);
@@ -195,8 +201,7 @@ TEST(Analyzer, CleanCollectivesProduceZeroFindings) {
   const int p = 7;
   Machine m(p, CostModel::cm5());
   Analyzer a;
-  m.set_observer(&a);
-  m.run([](Comm& c) {
+  run_analyzed(m, a, [](Comm& c) {
     const int p2 = c.size();
     c.barrier();
     const auto b = c.bcast_value<int>(c.rank() == 2 ? 99 : 0, 2);
@@ -230,8 +235,7 @@ TEST(Analyzer, ObserverDoesNotPerturbVirtualTime) {
   const auto base = plain.run(program);
   Machine observed(5, CostModel::cm5());
   Analyzer a;
-  observed.set_observer(&a);
-  const auto got = observed.run(program);
+  const auto got = run_analyzed(observed, a, program);
   ASSERT_EQ(base.ranks.size(), got.ranks.size());
   for (std::size_t r = 0; r < base.ranks.size(); ++r)
     EXPECT_EQ(base.ranks[r].clock, got.ranks[r].clock) << "rank " << r;
@@ -243,8 +247,7 @@ TEST(Analyzer, FindingsAreDeduplicatedAndCapped) {
   opt.max_findings = 1;
   Machine m(3, CostModel::zero());
   Analyzer a(opt);
-  m.set_observer(&a);
-  for (int i = 0; i < 3; ++i) m.run(racy_program);
+  for (int i = 0; i < 3; ++i) run_analyzed(m, a, racy_program);
   EXPECT_GE(a.total(), 3u);                 // every detection counted
   EXPECT_EQ(a.findings().size(), 1u);       // stored once
   EXPECT_NE(a.report().find("deduplicated"), std::string::npos);
@@ -260,8 +263,7 @@ TEST(Observers, OutputsArePinned) {
   const auto pinned_text = [](int nranks, void (*program)(Comm&)) {
     Machine m(nranks, CostModel::zero());
     Analyzer a;
-    m.set_observer(&a);
-    m.run(program);
+    run_analyzed(m, a, program);
     return a.report() + std::to_string(a.total()) + '\n' +
            std::to_string(a.fingerprint()) + '\n';
   };
@@ -281,8 +283,9 @@ TEST(Observers, OutputsArePinned) {
 
 TEST(Audit, DeterministicProgramPasses) {
   Machine m(4, CostModel::cm5());
+  RunRecord record;
   Analyzer a;
-  const auto res = audit_determinism(m, a, a, [](Comm& c) {
+  const auto res = audit_determinism(m, record, a, [](Comm& c) {
     const int next = (c.rank() + 1) % c.size();
     c.send_value<int>(next, 2, c.rank());
     (void)c.recv<int>(kAnySource, 2);
@@ -300,10 +303,11 @@ TEST(Audit, CatchesHiddenStateSteeringCommunication) {
   // exactly the class of bug (leaked caches, pointer-keyed iteration) the
   // fingerprint diff exists to catch.
   Machine m(2, CostModel::cm5());
+  RunRecord record;
   Analyzer a;
   int generation = 0;
   const auto res = audit_determinism(
-      m, a, a,
+      m, record, a,
       [&generation](Comm& c) {
         const int msgs = 1 + generation;
         if (c.rank() == 0)
@@ -319,10 +323,11 @@ TEST(Audit, CatchesHiddenStateSteeringCommunication) {
 
 TEST(Audit, RestoresPreviousObserver) {
   Machine m(2, CostModel::zero());
-  Analyzer outer;
+  RunRecord outer;
   m.set_observer(&outer);
+  RunRecord record;
   Analyzer a;
-  (void)audit_determinism(m, a, a, [](Comm& c) {
+  (void)audit_determinism(m, record, a, [](Comm& c) {
     if (c.rank() == 0) c.send_value<int>(1, 1, 0);
     if (c.rank() == 1) (void)c.recv<int>(0, 1);
   });

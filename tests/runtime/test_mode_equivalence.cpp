@@ -15,6 +15,7 @@
 #include "sfc/hilbert.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
+#include "trace/run_record.hpp"
 #include "util/rng.hpp"
 #include "worker_counts.hpp"
 
@@ -318,10 +319,12 @@ TEST(ModeEquivalence, AnalyzerReportIsByteIdenticalAcrossModes) {
   };
   auto run_one = [&](bool parallel) {
     Machine m(3, CostModel::cm5());
-    analysis::Analyzer an;
-    m.set_observer(&an);
+    trace::RunRecord record;
+    m.set_observer(&record);
     if (parallel) m.set_workers(3);
     (void)m.run(racy);
+    analysis::Analyzer an;
+    an.analyze(record);
     return std::make_tuple(an.report(), an.total(), an.fingerprint(),
                            an.events());
   };

@@ -1,11 +1,14 @@
 // Tracer behavior on bare machines: span construction, flow matching,
-// marks, caps, chaining with the analyzer, and byte-identical exports
-// between the sequential and parallel execution engines.
+// marks, the record's budget, the record the analyzer also reads, and
+// byte-identical exports between the sequential and parallel execution
+// engines.
 #include "trace/tracer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/analyzer.hpp"
 #include "sim/comm.hpp"
@@ -22,8 +25,8 @@ using sim::Phase;
 
 TEST(Tracer, SpansFollowPhaseChangesAndCloseAtFinalClock) {
   Machine m(2, CostModel::cm5());
-  Tracer tracer;
-  m.set_observer(&tracer);
+  RunRecord record;
+  m.set_observer(&record);
   const auto run = m.run([](Comm& c) {
     c.set_phase(Phase::kScatter);
     c.charge(1e-3);
@@ -32,6 +35,7 @@ TEST(Tracer, SpansFollowPhaseChangesAndCloseAtFinalClock) {
     c.set_phase(Phase::kOther);
   });
 
+  const Tracer tracer(record);
   const TraceData& d = tracer.data();
   ASSERT_EQ(d.nranks, 2);
   // Per rank: kOther head, kScatter, kPush, kOther tail = 4 spans.
@@ -57,8 +61,8 @@ TEST(Tracer, SpansFollowPhaseChangesAndCloseAtFinalClock) {
 
 TEST(Tracer, FlowsMatchSendsToReceivesByLinkSeq) {
   Machine m(3, CostModel::cm5());
-  Tracer tracer;
-  m.set_observer(&tracer);
+  RunRecord record;
+  m.set_observer(&record);
   m.run([](Comm& c) {
     c.set_phase(Phase::kScatter);
     if (c.rank() == 0) {
@@ -71,6 +75,7 @@ TEST(Tracer, FlowsMatchSendsToReceivesByLinkSeq) {
     }
   });
 
+  const Tracer tracer(record);
   const TraceData& d = tracer.data();
   ASSERT_EQ(d.flows.size(), 3u);
   // Receiver-major merge order: rank 1's flows first (seq 0 then 1).
@@ -93,26 +98,26 @@ TEST(Tracer, FlowsMatchSendsToReceivesByLinkSeq) {
 
 TEST(Tracer, UnreceivedMessagesAreCounted) {
   Machine m(2, CostModel::cm5());
-  Tracer tracer;
-  m.set_observer(&tracer);
+  RunRecord record;
+  m.set_observer(&record);
   m.run([](Comm& c) {
     if (c.rank() == 0) c.send_value(1, 1, 42);
   });
+  const Tracer tracer(record);
   EXPECT_EQ(tracer.data().flows.size(), 0u);
   EXPECT_EQ(tracer.data().unreceived_msgs, 1u);
 }
 
 TEST(Tracer, MarksCarryPayloadAndRespectCaps) {
   Machine m(2, CostModel::cm5());
-  Tracer::Options opt;
-  opt.max_marks_per_rank = 2;
-  Tracer tracer(opt);
-  m.set_observer(&tracer);
+  RunRecord record(2);  // a budget of two events per rank
+  m.set_observer(&record);
   m.run([](Comm& c) {
     if (c.rank() == 0)
       for (int i = 0; i < 5; ++i) c.mark("test.mark", i, i * 0.5);
   });
 
+  const Tracer tracer(record);
   const TraceData& d = tracer.data();
   ASSERT_EQ(d.marks.size(), 2u);
   EXPECT_EQ(d.marks[0].name, "test.mark");
@@ -127,14 +132,15 @@ TEST(Tracer, TransportRetriesAppearAsMarks) {
   fc.seed = 99;
   fc.corrupt_prob = 0.4;
   Machine m(2, CostModel::cm5(), fc);
-  Tracer tracer;
-  m.set_observer(&tracer);
+  RunRecord record;
+  m.set_observer(&record);
   const auto run = m.run([](Comm& c) {
     if (c.rank() == 0)
       for (int i = 0; i < 40; ++i) c.send_value(1, 1, i);
     else
       for (int i = 0; i < 40; ++i) (void)c.recv<int>(0);
   });
+  const Tracer tracer(record);
 
   std::uint64_t retry_marks = 0;
   for (const Mark& mk : tracer.data().marks)
@@ -149,14 +155,10 @@ TEST(Tracer, TransportRetriesAppearAsMarks) {
   EXPECT_EQ(retry_marks, total.retries);
 }
 
-TEST(Tracer, ChainsWithAnalyzerThroughObserverChain) {
+TEST(Tracer, ReadsTheRecordTheAnalyzerReads) {
   Machine m(2, CostModel::cm5());
-  analysis::Analyzer analyzer;
-  Tracer tracer;
-  sim::ObserverChain chain;
-  chain.add(&analyzer);
-  chain.add(&tracer);
-  m.set_observer(&chain);
+  RunRecord record;
+  m.set_observer(&record);
   m.run([](Comm& c) {
     c.set_phase(Phase::kScatter);
     if (c.rank() == 0)
@@ -164,6 +166,9 @@ TEST(Tracer, ChainsWithAnalyzerThroughObserverChain) {
     else
       (void)c.recv<double>(0, 1);
   });
+  analysis::Analyzer analyzer;
+  analyzer.analyze(record);
+  const Tracer tracer(record);
   EXPECT_GT(analyzer.events(), 0u);
   EXPECT_GT(tracer.events(), 0u);
   EXPECT_EQ(tracer.data().flows.size(), 1u);
@@ -172,8 +177,8 @@ TEST(Tracer, ChainsWithAnalyzerThroughObserverChain) {
 
 TEST(Tracer, SecondRunResetsState) {
   Machine m(2, CostModel::cm5());
-  Tracer tracer;
-  m.set_observer(&tracer);
+  RunRecord record;
+  m.set_observer(&record);
   const auto program = [](Comm& c) {
     if (c.rank() == 0)
       c.send_value(1, 1, 1);
@@ -181,10 +186,53 @@ TEST(Tracer, SecondRunResetsState) {
       (void)c.recv<int>(0);
   };
   m.run(program);
-  const auto first = to_chrome_json(tracer.data());
+  const auto first = to_chrome_json(Tracer(record).data());
   m.run(program);
+  const Tracer tracer(record);
   EXPECT_EQ(to_chrome_json(tracer.data()), first);
   EXPECT_EQ(tracer.data().flows.size(), 1u);
+}
+
+// Past its budget a rank's events are counted, not stored: the tracer
+// reports them under trace.dropped_*, pairs what it holds, and the
+// analyzer, which needs every event, refuses the record by name.
+TEST(RunRecord, PastTheBudgetTheTracerCountsAndTheAnalyzerRefuses) {
+  Machine m(2, CostModel::cm5());
+  RunRecord record(3);
+  m.set_observer(&record);
+  m.run([](Comm& c) {
+    if (c.rank() == 0) {
+      for (int i = 0; i < 4; ++i) c.send_value(1, 1, i);
+      c.mark("test.mark");
+    } else {
+      for (int i = 0; i < 4; ++i) (void)c.recv<int>(0, 1);
+    }
+  });
+  EXPECT_EQ(record.events(0).size(), 3u);
+  EXPECT_EQ(record.events(1).size(), 3u);
+  EXPECT_EQ(record.first_truncated_rank(), 0);
+
+  const Tracer tracer(record);
+  const TraceData& d = tracer.data();
+  EXPECT_EQ(d.dropped_sends, 1u);
+  EXPECT_EQ(d.dropped_recvs, 1u);
+  EXPECT_EQ(d.dropped_marks, 1u);
+  EXPECT_EQ(d.flows.size(), 3u);  // the stored prefixes pair up
+  EXPECT_EQ(tracer.events(), 9u);
+  const std::string metrics = tracer.metrics().snapshot().to_json();
+  EXPECT_NE(metrics.find("\"trace.dropped_sends\": 1"), std::string::npos);
+  EXPECT_NE(metrics.find("\"trace.dropped_recvs\": 1"), std::string::npos);
+  EXPECT_NE(metrics.find("\"trace.dropped_marks\": 1"), std::string::npos);
+
+  analysis::Analyzer analyzer;
+  try {
+    analyzer.analyze(record);
+    ADD_FAILURE() << "a truncated record was analyzed";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("budget of 3"), std::string::npos) << what;
+  }
 }
 
 // The determinism contract: the virtual-time trace and every export
@@ -214,10 +262,10 @@ TEST(TracerModeEquivalence, ExportsAreByteIdentical) {
   const auto run_traced = [&](bool parallel) {
     Machine m(6, CostModel::cm5());
     if (parallel) m.set_workers(4);
-    auto tracer = std::make_unique<Tracer>();
-    m.set_observer(tracer.get());
+    RunRecord record;
+    m.set_observer(&record);
     m.run(program);
-    return tracer;
+    return std::make_unique<Tracer>(record);
   };
 
   const auto seq = run_traced(false);
@@ -232,8 +280,8 @@ TEST(TracerModeEquivalence, ExportsAreByteIdentical) {
 
 TEST(ChromeTrace, EmitsExpectedEventKinds) {
   Machine m(2, CostModel::cm5());
-  Tracer tracer;
-  m.set_observer(&tracer);
+  RunRecord record;
+  m.set_observer(&record);
   m.run([](Comm& c) {
     c.set_phase(Phase::kScatter);
     if (c.rank() == 0) {
@@ -243,6 +291,7 @@ TEST(ChromeTrace, EmitsExpectedEventKinds) {
       (void)c.recv<double>(0);
     }
   });
+  const Tracer tracer(record);
   const std::string json = to_chrome_json(tracer.data());
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // spans
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);  // flow start
