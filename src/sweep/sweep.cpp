@@ -29,13 +29,12 @@ const char* source_name(Source s) {
 
 namespace {
 
-/// The metrics file of a job: the sink its params or PICPAR_TRACE_METRICS
-/// name, with the fingerprint before the extension ("" when none is named).
-std::string metrics_file(const pic::PicParams& params,
-                         const std::string& fingerprint) {
-  std::string sink = params.trace.metrics_path;
-  if (sink.empty())
-    if (const char* p = trace::trace_metrics_env_path()) sink = p;
+/// A job's own file beside a sink that its params or, failing them, the
+/// environment name: the fingerprint goes before the extension ("" when
+/// no sink is named).
+std::string job_file(std::string sink, const char* env_sink,
+                     const std::string& fingerprint) {
+  if (sink.empty() && env_sink) sink = env_sink;
   if (sink.empty()) return sink;
   const std::filesystem::path path(sink);
   return (path.parent_path() / (path.stem().string() + "." + fingerprint +
@@ -59,6 +58,7 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
     std::string canonical;
     std::size_t first_job = 0;
     std::string metrics_file;
+    std::string trace_file;
     Source source = Source::kSimulated;
     bool corrupt_replaced = false;
     pic::PicResult result;
@@ -75,7 +75,11 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
       u.fingerprint = out.fingerprint;
       u.canonical = jobs[j].params.canonical();
       u.first_job = j;
-      u.metrics_file = metrics_file(jobs[j].params, u.fingerprint);
+      const auto& tp = jobs[j].params.trace;
+      u.metrics_file = job_file(tp.metrics_path,
+                                trace::trace_metrics_env_path(), u.fingerprint);
+      u.trace_file =
+          job_file(tp.path, trace::trace_env_path(), u.fingerprint);
       unique.push_back(std::move(u));
     }
   }
@@ -107,9 +111,11 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
   run_indexed(opt.jobs, misses.size(), [&](std::size_t m) {
     Unique& u = unique[misses[m]];
     // Paths are outside the fingerprint: naming the job's own metrics file
-    // keeps concurrent runs off one shared sink.
+    // and Chrome trace keeps concurrent runs off one shared sink. Traces
+    // are not in the cached payload, so only simulated jobs write one.
     pic::PicParams params = jobs[u.first_job].params;
     if (!u.metrics_file.empty()) params.trace.metrics_path = u.metrics_file;
+    if (!u.trace_file.empty()) params.trace.path = u.trace_file;
     u.result = pic::run_pic(params);
   });
 

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "pic/simulation.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/sweep.hpp"
 
@@ -256,6 +257,40 @@ TEST_F(SweepTest, TracedSweepWritesOneMetricsFilePerJob) {
     EXPECT_EQ(read(files[i]), bytes[i]);
   }
   EXPECT_FALSE(fs::exists(sink));
+}
+
+TEST_F(SweepTest, TracedSweepWritesOneChromeTracePerSimulatedJob) {
+  // PICPAR_TRACE names one sink; concurrent simulated jobs each write
+  // their own Chrome trace beside it, named by fingerprint, with the bytes
+  // a solo run of the job writes.
+  fs::create_directories(dir_);
+  const fs::path sink = fs::path(dir_) / "sweep.trace.json";
+  ASSERT_EQ(::setenv("PICPAR_TRACE", sink.c_str(), 1), 0);
+  const std::vector<Job> jobs = {{"seed1", tiny_params(1)},
+                                 {"seed2", tiny_params(2)}};
+  SweepOptions opt;
+  opt.jobs = 2;
+  const auto read = [](const fs::path& f) {
+    std::ifstream in(f, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  const auto cold = run_sweep(jobs, opt);
+  ASSERT_EQ(cold.stats.simulated, 2u);
+  EXPECT_FALSE(fs::exists(sink));
+  const fs::path solo = fs::path(dir_) / "solo.trace.json";
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const fs::path file = fs::path(dir_) / ("sweep.trace." +
+                                            cold.outcomes[i].fingerprint +
+                                            ".json");
+    ASSERT_TRUE(fs::exists(file)) << file;
+    auto params = jobs[i].params;
+    params.trace.path = solo.string();
+    (void)pic::run_pic(params);
+    const std::string bytes = read(file);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_EQ(bytes, read(solo)) << jobs[i].label;
+  }
 }
 
 TEST_F(SweepTest, EmptyJobListIsANoop) {
