@@ -20,6 +20,9 @@ using Kind = RecordEvent::Kind;
 namespace {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+/// Wildcard receives remembered per rank per run for the deferred checks;
+/// receives past it are not analyzed (counts unaffected).
+constexpr std::size_t kRecvHistory = 512;
 
 bool matches(int want_src, int want_tag, int src, int tag) {
   return (want_src == kAnySource || src == want_src) &&
@@ -69,7 +72,7 @@ struct RankPass {
 /// detected against them.
 class Pass {
 public:
-  Pass(const RunRecord& record, std::size_t recv_history);
+  explicit Pass(const RunRecord& record);
 
   /// `rank`'s findings in merge order: its online detections in program
   /// order, then its deferred ones.
@@ -92,7 +95,6 @@ private:
   void on_recv(int rank, const RecordEvent& e, const SendId& sid);
 
   const RunRecord& rec_;
-  std::size_t recv_history_;
   std::vector<RankPass> ranks_;
   std::vector<SendId> waits_;  ///< per rank: the send it waits for
   /// Send clocks from the send until the receive that merges them, and
@@ -102,8 +104,7 @@ private:
   std::uint64_t events_ = 0;
 };
 
-Pass::Pass(const RunRecord& record, std::size_t recv_history)
-    : rec_(record), recv_history_(recv_history) {
+Pass::Pass(const RunRecord& record) : rec_(record) {
   const int p = record.nranks();
   ranks_.resize(static_cast<std::size_t>(p));
   waits_.assign(static_cast<std::size_t>(p), kNoSend);
@@ -237,7 +238,7 @@ void Pass::on_recv(int rank, const RecordEvent& e, const SendId& sid) {
   const bool race_check = wildcard && user_code && !m.order_insensitive;
   const bool reserved_check =
       user_code && m.want_tag == kAnyTag && m.tag >= 0;
-  if ((race_check || reserved_check) && rp.recvs.size() < recv_history_) {
+  if ((race_check || reserved_check) && rp.recvs.size() < kRecvHistory) {
     rp.gate_open = true;
     rp.recvs.push_back(PendingRecv{rp.next, race_check, reserved_check,
                                    sent->second, rp.clock});
@@ -372,7 +373,7 @@ void Analyzer::analyze(const RunRecord& record) {
         " fired more events than the record's budget of " +
         std::to_string(record.budget()) +
         " per rank; the happens-before order needs every event");
-  const Pass pass(record, opt_.recv_history);
+  const Pass pass(record);
   // Merge in rank order so findings, counts, and the report are
   // deterministic — and identical at every worker count. Findings survive
   // from earlier runs on purpose (clear_findings() resets them).

@@ -73,9 +73,6 @@ public:
     /// Stored findings are deduplicated by (kind, ranks, tag, phase) and
     /// capped here; detections past the cap still count in counts().
     std::size_t max_findings = 64;
-    /// Wildcard receives remembered per rank per run for the deferred race
-    /// checks; receives past the cap are not analyzed (counts unaffected).
-    std::size_t recv_history = 512;
   };
 
   Analyzer() : Analyzer(Options{}) {}

@@ -583,10 +583,9 @@ int Machine::build_send(int src, int dst, int tag, Payload payload,
   // Everything here touches only sender-owned state (clock arithmetic,
   // stats, per-destination sequence counters, the sender's fault stream,
   // the observer's state for this rank), so it runs outside the engine
-  // mutex. The
-  // caller publishes *new_clock only after enqueueing: a concurrent
-  // lower-bound read must not see the post-charge clock while the message
-  // it bounds is still in flight.
+  // mutex. The caller publishes *new_clock only after enqueueing: a
+  // concurrent lower-bound read must not see the post-charge clock while
+  // the message it bounds is still in flight.
   auto& s = ranks_[static_cast<std::size_t>(src)];
   if (strict_tags_ && tag < 0 && s.collective_depth == 0)
     throw std::invalid_argument(

@@ -60,15 +60,6 @@ public:
     histograms_[name].observe(value);
   }
 
-  void clear() {
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
-  }
-  bool empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
-  }
-
   MetricsSnapshot snapshot() const;
 
 private:

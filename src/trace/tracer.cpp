@@ -9,12 +9,7 @@
 namespace picpar::trace {
 
 using detail::append_num;
-
-namespace {
-
 using Kind = RecordEvent::Kind;
-
-}  // namespace
 
 Tracer::Tracer(const RunRecord& record) {
   if (!record.complete())

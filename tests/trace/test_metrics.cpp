@@ -121,19 +121,5 @@ TEST(MetricsSnapshot, JsonShape) {
             std::count(json.begin(), json.end(), '}'));
 }
 
-TEST(MetricsRegistry, ClearEmptiesEverything) {
-  MetricsRegistry reg;
-  reg.add("c");
-  reg.set("g", 1.0);
-  reg.observe("h", 1);
-  EXPECT_FALSE(reg.empty());
-  reg.clear();
-  EXPECT_TRUE(reg.empty());
-  const auto s = reg.snapshot();
-  EXPECT_TRUE(s.counters.empty());
-  EXPECT_TRUE(s.gauges.empty());
-  EXPECT_TRUE(s.histograms.empty());
-}
-
 }  // namespace
 }  // namespace picpar::trace
