@@ -29,13 +29,6 @@ bool matches(int want_src, int want_tag, int src, int tag) {
          (want_tag == kAnyTag || tag == want_tag);
 }
 
-void mix(std::uint64_t& h, std::uint64_t value) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (value >> (8 * b)) & 0xffULL;
-    h *= 0x100000001b3ULL;
-  }
-}
-
 /// Two 32-bit fields as one fingerprint word.
 std::uint64_t word(int hi, int lo) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi)) << 32) |
@@ -162,11 +155,11 @@ void Pass::on_send(int rank, const RecordEvent& e) {
   RankPass& rp = ranks_[static_cast<std::size_t>(rank)];
   rp.clock.tick(rank);
   ++events_;
-  mix(rp.fp, 0xA11CE5EDULL);
-  mix(rp.fp, word(e.send.dst, e.send.tag));
-  mix(rp.fp, e.send.bytes);
-  mix(rp.fp, static_cast<std::uint64_t>(static_cast<int>(e.phase)));
-  mix(rp.fp, rp.clock.hash());
+  fnv_mix(rp.fp, 0xA11CE5EDULL);
+  fnv_mix(rp.fp, word(e.send.dst, e.send.tag));
+  fnv_mix(rp.fp, e.send.bytes);
+  fnv_mix(rp.fp, static_cast<std::uint64_t>(static_cast<int>(e.phase)));
+  fnv_mix(rp.fp, rp.clock.hash());
   held_.emplace(SendId{rank, rp.next}, rp.clock);
   peak_held_ = std::max(peak_held_, held_.size());
 
@@ -191,11 +184,11 @@ void Pass::on_recv(int rank, const RecordEvent& e, const SendId& sid) {
   rp.clock.tick(rank);
   const auto& m = e.recv;
   ++events_;
-  mix(rp.fp, 0x5ECE15EDULL);
-  mix(rp.fp, word(m.src, m.tag));
-  mix(rp.fp, m.bytes);
-  mix(rp.fp, static_cast<std::uint64_t>(static_cast<int>(e.phase)));
-  mix(rp.fp, rp.clock.hash());
+  fnv_mix(rp.fp, 0x5ECE15EDULL);
+  fnv_mix(rp.fp, word(m.src, m.tag));
+  fnv_mix(rp.fp, m.bytes);
+  fnv_mix(rp.fp, static_cast<std::uint64_t>(static_cast<int>(e.phase)));
+  fnv_mix(rp.fp, rp.clock.hash());
 
   // Phase attribution: sender charged this traffic to one phase, the
   // receiver is accounting it under another.
@@ -336,7 +329,7 @@ std::vector<Finding> Pass::findings(int rank) const {
 
 std::uint64_t Pass::fingerprint() const {
   std::uint64_t h = kFnvOffset;
-  for (const RankPass& rp : ranks_) mix(h, rp.fp);
+  for (const RankPass& rp : ranks_) fnv_mix(h, rp.fp);
   return h;
 }
 

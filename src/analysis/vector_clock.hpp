@@ -55,4 +55,8 @@ private:
   std::vector<std::uint64_t> c_;
 };
 
+/// One FNV-1a 64 step per byte of `value`, low byte first — the fold that
+/// VectorClock::hash and the analyzer's DAG fingerprint are built from.
+void fnv_mix(std::uint64_t& h, std::uint64_t value);
+
 }  // namespace picpar::analysis

@@ -98,6 +98,36 @@ TEST(VectorClock, HashDistinguishesAndIsStable) {
   EXPECT_EQ(c.hash(), h);
 }
 
+// fnv_mix folds a word's high zero bytes into one multiplication; it must
+// give the byte-by-byte FNV-1a fold's bits for every word, zero bytes in
+// the middle and all-ones included.
+TEST(VectorClock, FnvMixIsByteWiseFnv1a) {
+  const auto reference = [](std::uint64_t h, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffULL;
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  const std::uint64_t words[] = {0,
+                                 1,
+                                 0xff,
+                                 0x100,
+                                 0x10000,
+                                 0x5ECE15ED,
+                                 0x0100000000000000ULL,
+                                 0x8000000000000001ULL,
+                                 0x00ff00ff00ff00ffULL,
+                                 ~std::uint64_t{0}};
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t want = h;
+  for (const std::uint64_t w : words) {
+    fnv_mix(h, w);
+    want = reference(want, w);
+    EXPECT_EQ(h, want) << "after word " << w;
+  }
+}
+
 TEST(VectorClock, StrFormat) {
   VectorClock a(3);
   a.tick(1);
